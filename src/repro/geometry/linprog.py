@@ -12,14 +12,37 @@ that implicit representation:
   a linear objective over the (closure of the) cell.  These power the
   look-ahead score bounds of Section 6.
 
-The paper uses the ``lp_solve`` library; we use :func:`scipy.optimize.linprog`
-with the HiGHS backend, which provides the same semantics.  Feasibility of an
-*open* cell is decided by maximising a slack ``t`` added to every strict
-inequality (scaled by the constraint's norm so ``t`` is a genuine interior
-margin): the cell has non-empty interior iff the optimal ``t`` exceeds a small
-tolerance.  The maximiser is an interior *witness point*, cached by the
-CellTree to implement the optimisation of Section 4.3.2 and reused as the
-interior point required by Qhull at finalisation time.
+The paper uses the ``lp_solve`` library; we solve with HiGHS through the
+module-level name :data:`linprog`, which answers exactly as
+``scipy.optimize.linprog(method="highs")`` does but skips that wrapper's
+per-call set-up (a fresh solver, a fresh options manager and an option check
+per setting cost several times the solve itself on these small LPs):
+
+* Each (process, thread) keeps one ``scipy.optimize._highspy._core._Highs``,
+  built on first use with the options ``linprog`` sets on every call:
+  presolve ``"on"``, the dual simplex strategy, debug level none, output and
+  console logging off.  A forked child and every new thread build their
+  own; an instance that returns a HiGHS error is dropped and rebuilt.
+* Per LP it keeps ``linprog``'s checks: non-finite entries in ``c``,
+  ``A_ub`` or ``b_ub`` raise the same ``ValueError``, and scipy's own
+  post-solve ``_check_result`` at ``tol=1e-9`` demotes an "optimal" answer
+  that violates a constraint to status 4.  The constraint matrix is passed
+  column-wise with structural zeros dropped exactly as ``csc_array`` drops
+  them, and the HiGHS status is mapped by scipy's own helper.
+* A scipy without those private names keeps stock ``linprog`` and counts
+  each solve in ``query.lp.fallback_calls``.
+
+``status``, ``x`` and ``fun`` match stock ``linprog`` bit for bit, whatever
+the call history (``tests/test_geometry_linprog.py``; checked on scipy 1.17.1
+with HiGHS 1.12.0).  Warm starts are deliberately not used: a reused basis
+can end on a different optimal vertex and move the witnesses.
+
+Feasibility of an *open* cell is decided by maximising a slack ``t`` added to
+every strict inequality (scaled by the constraint's norm so ``t`` is a genuine
+interior margin): the cell has non-empty interior iff the optimal ``t``
+exceeds a small tolerance.  The maximiser is an interior *witness point*,
+cached by the CellTree to implement the optimisation of Section 4.3.2 and
+reused as the interior point required by Qhull at finalisation time.
 
 All primitives optionally update an :class:`LPCounters` instance so the
 experiment harness can report the number of solver calls and the number of
@@ -28,15 +51,38 @@ constraints per call (Figures 16 and 17 of the paper).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult as LinprogResult
+from scipy.optimize import linprog as _scipy_linprog
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsDebugLevel,
+        HighsLp,
+        HighsModelStatus,
+        HighsOptions,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+        simplex_constants,
+    )
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+    from scipy.optimize._linprog_util import _check_result
+except ImportError:  # scipy without its HiGHS binding: stock linprog, counted
+    _HAVE_HIGHS = False
+else:
+    _HAVE_HIGHS = True
 
 from ..exceptions import LPSolverError
 from ..obs.metrics import LP_CONSTRAINTS, active_registry
-from ..robust import Tolerance, resolve_tolerance
+from ..obs.names import LP_FALLBACK_CALLS
+from ..robust import LINPROG_CHECK_TOL, Tolerance, resolve_tolerance
 from .halfspace import Halfspace
 
 __all__ = [
@@ -55,6 +101,113 @@ __all__ = [
 
 #: Upper bound on the slack variable (keeps the LP bounded).
 _SLACK_CAP = 1.0
+
+#: Per-thread slot for ``(pid, solver)``; the pid makes a forked child rebuild.
+_THREAD = threading.local()
+
+
+def _thread_highs() -> "_Highs":
+    """This thread's HiGHS instance, built with ``linprog``'s options on first use."""
+    pid = os.getpid()
+    slot = getattr(_THREAD, "highs", None)
+    if slot is not None and slot[0] == pid:
+        return slot[1]
+    options = HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    highs = _Highs()
+    if highs.passOptions(options) == HighsStatus.kError:
+        raise LPSolverError("HiGHS rejected the linprog options")
+    _THREAD.highs = (pid, highs)
+    return highs
+
+
+def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> LinprogResult:
+    """``scipy.optimize.linprog(method="highs")`` on this thread's reused solver.
+
+    ``bounds`` holds one ``(low, high)`` pair per variable.  Returns scipy's
+    ``OptimizeResult`` with the ``x``, ``fun``, ``slack``, ``status``,
+    ``success`` and ``message`` that ``linprog`` would return.
+    """
+    if method != "highs":
+        raise ValueError(f"only method='highs' is supported, not {method!r}")
+    cost = np.asarray(c, dtype=float).reshape(-1)
+    columns = cost.size
+    matrix = np.zeros((0, columns)) if A_ub is None else np.asarray(A_ub, dtype=float)
+    upper = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+    rows = upper.size
+    if matrix.shape != (rows, columns):
+        raise ValueError(f"Invalid input for linprog: A_ub has shape {matrix.shape}, not {(rows, columns)}")
+    for name, values in (("c", cost), ("A_ub", matrix), ("b_ub", upper)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"Invalid input for linprog: {name} must not contain values inf, nan, or None")
+    box = np.asarray(bounds, dtype=float).reshape(columns, 2)
+
+    # Column-wise, zeros dropped: the CSC layout ``csc_array`` hands HiGHS.
+    by_column = matrix.T
+    nonzero = by_column != 0
+    lp = HighsLp()
+    lp.num_col_ = columns
+    lp.num_row_ = rows
+    lp.col_cost_ = cost.tolist()
+    lp.col_lower_ = box[:, 0].tolist()
+    lp.col_upper_ = box[:, 1].tolist()
+    lp.row_lower_ = [-kHighsInf] * rows
+    lp.row_upper_ = upper.tolist()
+    a_matrix = lp.a_matrix_
+    a_matrix.format_ = MatrixFormat.kColwise
+    a_matrix.num_col_ = columns
+    a_matrix.num_row_ = rows
+    a_matrix.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
+    a_matrix.index_ = np.nonzero(nonzero)[1].tolist()
+    a_matrix.value_ = by_column[nonzero].tolist()
+
+    highs = _thread_highs()
+    x = fun = slack = None
+    if highs.passModel(lp) == HighsStatus.kError:
+        del _THREAD.highs
+        model_status = HighsModelStatus.kModelError
+        message = highs.modelStatusToString(model_status)
+    elif highs.run() == HighsStatus.kError:
+        del _THREAD.highs
+        model_status = highs.getModelStatus()
+        message = highs.modelStatusToString(model_status)
+    else:
+        model_status = highs.getModelStatus()
+        info = highs.getInfo()
+        if model_status == HighsModelStatus.kOptimal:
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            fun = info.objective_function_value
+            slack = upper - np.array(solution.row_value)
+            message = highs.modelStatusToString(model_status)
+        else:
+            message = (
+                f"model_status is {highs.modelStatusToString(model_status)}; "
+                f"primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
+            )
+    status, message = _highs_to_scipy_status_message(model_status, message)
+    status, message = _check_result(
+        x, fun, status, slack, np.zeros(0), box, LINPROG_CHECK_TOL, message, None
+    )
+    return LinprogResult(
+        {"x": x, "fun": fun, "slack": slack, "status": status, "success": status == 0, "message": message}
+    )
+
+
+def _stock_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> LinprogResult:
+    """``scipy.optimize.linprog``, counted in ``query.lp.fallback_calls``."""
+    registry = active_registry()
+    if registry is not None:
+        registry.counter(LP_FALLBACK_CALLS).inc()
+    return _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+
+
+#: The LP solver every primitive below calls; tracing wraps this name.
+linprog = _highs_linprog if _HAVE_HIGHS else _stock_linprog
 
 
 @dataclass

@@ -44,6 +44,7 @@ __all__ = [
     "SERVE_UPDATES_TOTAL",
     # query.* constants referenced directly
     "LP_CONSTRAINTS",
+    "LP_FALLBACK_CALLS",
     "QUERY_REGIONS",
     "QUERY_SECONDS_RESPONSE",
     "QUERY_SECONDS_CPU",
@@ -125,6 +126,9 @@ SERVE_METRIC_NAMES: tuple[str, ...] = (
 # --------------------------------------------------------------------------- #
 #: Constraint counts of LP feasibility/optimize probes (histogram).
 LP_CONSTRAINTS = "query.lp.constraints"
+#: LPs solved through stock ``scipy.optimize.linprog`` because scipy lacks
+#: the HiGHS binding the reused solver needs (counter).
+LP_FALLBACK_CALLS = "query.lp.fallback_calls"
 #: Regions in the exact answer (counter).
 QUERY_REGIONS = "query.regions"
 #: End-to-end response seconds of one query (gauge).
@@ -139,6 +143,7 @@ QUERY_SECONDS_PHASE_PREFIX = "query.seconds.phase."
 
 QUERY_METRIC_NAMES: tuple[str, ...] = (
     LP_CONSTRAINTS,
+    LP_FALLBACK_CALLS,
     QUERY_REGIONS,
     QUERY_SECONDS_RESPONSE,
     QUERY_SECONDS_CPU,

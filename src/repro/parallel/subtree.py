@@ -344,13 +344,17 @@ def parallel_ticks(
     pool = ProcessPoolExecutor(max_workers=len(payloads))
     try:
         pending = {pool.submit(_expand_shard_group, payload) for payload in payloads}
-        while pending:
-            ready, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in ready:
-                consume_group(future.result())
+        ready: set = set()
+        while pending or ready:
+            # One tick per finished group, as in-process: groups that finish
+            # inside one wait() must not merge into one tick, or the number
+            # of ticks (and where max_batches pauses) depends on timing.
+            if not ready:
+                ready, pending = wait(pending, return_when=FIRST_COMPLETED)
+            consume_group(ready.pop().result())
             batches += 1
             new_cells = commit_ready()
-            if not pending:
+            if not pending and not ready:
                 yield finish(new_cells, extra_nodes, batches)
                 return
             insertion_seconds += time.perf_counter() - segment_start

@@ -19,6 +19,7 @@ from .tolerance import (
     BOUNDARY_SIDE,
     DEFAULT_TOLERANCE,
     DIVISION_EPSILON,
+    LINPROG_CHECK_TOL,
     NEGATIVE_SIDE,
     POSITIVE_SIDE,
     Tolerance,
@@ -39,6 +40,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "resolve_tolerance",
     "DIVISION_EPSILON",
+    "LINPROG_CHECK_TOL",
     "POSITIVE_SIDE",
     "NEGATIVE_SIDE",
     "BOUNDARY_SIDE",

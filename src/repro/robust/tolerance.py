@@ -52,6 +52,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "resolve_tolerance",
     "DIVISION_EPSILON",
+    "LINPROG_CHECK_TOL",
     "POSITIVE_SIDE",
     "NEGATIVE_SIDE",
     "BOUNDARY_SIDE",
@@ -68,6 +69,13 @@ BOUNDARY_SIDE = "0"
 #: tolerance, but it lives here so no numeric epsilon is hard-coded
 #: anywhere else in the package.
 DIVISION_EPSILON = 1e-9
+
+#: ``scipy.optimize.linprog``'s default ``tol``, the threshold of its
+#: post-solve check that demotes a constraint-violating "optimal" answer to
+#: status 4.  :mod:`repro.geometry.linprog` applies the same check with the
+#: same value so its statuses match stock ``linprog``'s; like
+#: ``DIVISION_EPSILON`` it is not a comparison tolerance of this package.
+LINPROG_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)

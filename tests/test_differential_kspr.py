@@ -33,11 +33,14 @@ import os
 import numpy as np
 import pytest
 
+import repro.geometry.linprog as linprog_module
 from repro import Dataset, Engine, UpdateBatch, cta, lpcta, pcta, stream_kspr, verify_result
 from repro.baselines import brute_force_kspr
 from repro.core.original_space import olp_cta, op_cta
 from repro.data import anticorrelated_dataset, correlated_dataset, independent_dataset
 from repro.geometry.transform import random_weight_vectors
+from repro.obs import MetricsRegistry, use_registry
+from repro.obs.names import LP_FALLBACK_CALLS
 from repro.parallel import parallel_cta
 from repro.parallel.compare import assert_results_identical
 
@@ -145,6 +148,37 @@ def test_all_methods_region_equivalent_to_brute_force(n, d, k, distribution, see
     serial = cta(dataset, focal, k)
     sharded = parallel_cta(dataset, focal, k, workers=2, shard_factor=2)
     assert_results_identical(sharded, serial)
+
+
+@pytest.mark.parametrize(
+    "n,d,k,distribution,seed",
+    _cases(),
+    ids=lambda value: str(value),
+)
+def test_stock_linprog_fallback_gives_identical_answers(monkeypatch, n, d, k, distribution, seed):
+    """The reused-HiGHS solver and the counted stock-``linprog`` fallback agree.
+
+    Every method answers each case once per backend; regions, witnesses
+    (bit for bit), LP counts and CellTree sizes must all be equal, and every
+    fallback solve is counted in ``query.lp.fallback_calls``.
+    """
+    dataset, focal, _ = _build_case(n, d, k, distribution, seed)
+    methods = {**TRANSFORMED_METHODS, **ORIGINAL_METHODS}
+    default = {name: method(dataset, focal, k) for name, method in methods.items()}
+    monkeypatch.setattr(linprog_module, "linprog", linprog_module._stock_linprog)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        fallback = {name: method(dataset, focal, k) for name, method in methods.items()}
+    for name, result in fallback.items():
+        assert_results_identical(result, default[name])
+        for region, expected in zip(result.regions, default[name].regions):
+            assert (region.witness is None) == (expected.witness is None), name
+            if region.witness is not None:
+                assert region.witness.tobytes() == expected.witness.tobytes(), name
+        assert result.stats.lp == default[name].stats.lp, name
+        assert result.stats.celltree_nodes == default[name].stats.celltree_nodes, name
+    solves = sum(result.stats.lp.total_calls for result in default.values())
+    assert registry.counter(LP_FALLBACK_CALLS).value == solves
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,12 @@ streams, ``QueryBatch.run_anytime`` edge cases and the deadline-aware
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ALL_COMPLETED
 
 import numpy as np
 import pytest
 
+import repro.parallel.subtree as subtree
 from repro import Engine, QueryBatch
 from repro.data import independent_dataset
 from repro.engine import QuerySpec
@@ -148,6 +150,24 @@ def test_sharded_query_stream_resumes_identically(case):
     assert first and not first[-1].done
     final = list(engine.query_stream(focal, K, method="cta", workers=2))[-1]
     assert final.done and engine.stats.stream_resumes == 1
+    assert_results_identical(
+        final.to_result(), fresh_engine(dataset).query(focal, K, method="cta")
+    )
+
+
+def test_sharded_stream_ticks_once_per_group_even_when_groups_finish_together(case, monkeypatch):
+    """Shard groups that finish inside one wait() still commit in separate ticks,
+    so where ``max_batches`` pauses does not depend on worker timing."""
+    real_wait = subtree.wait
+    monkeypatch.setattr(
+        subtree, "wait", lambda futures, return_when: real_wait(futures, return_when=ALL_COMPLETED)
+    )
+    dataset, focal = case
+    engine = fresh_engine(dataset)
+    first = list(engine.query_stream(focal, K, method="cta", workers=2, max_batches=1))
+    assert first and not first[-1].done
+    final = list(engine.query_stream(focal, K, method="cta", workers=2))[-1]
+    assert final.done
     assert_results_identical(
         final.to_result(), fresh_engine(dataset).query(focal, K, method="cta")
     )
