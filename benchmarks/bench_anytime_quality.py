@@ -84,7 +84,7 @@ def measure_time_to_first_region(cardinality: int, dimensionality: int, k: int) 
     resumable = Engine(dataset, k_max=max(8, k))
     list(resumable.query_stream(focal, k, finalize_geometry=False, max_batches=1))
     resumed = list(resumable.query_stream(focal, k, finalize_geometry=False))[-1]
-    assert resumable.stats.stream_resumes == 1
+    assert resumable.metrics()["engine.stream.resumes"] == 1
     assert_results_identical(resumed.to_result(), final.to_result())
 
     return {

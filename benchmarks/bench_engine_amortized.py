@@ -87,10 +87,6 @@ def run_comparison(
         "speedup": speedup,
         "naive_regions": naive_regions,
         "engine_batch": report.summary(),
-        "engine_stats": engine.stats.as_dict(),
-        "cache_info": engine.cache_info(),
-        "prepared_info": engine.prepared_info(),
-        # The canonical (one-name-per-number) view of the same counters.
         "engine_metrics": engine.metrics(),
     }
 

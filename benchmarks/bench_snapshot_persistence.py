@@ -87,7 +87,7 @@ def run_comparison(
         warm_results = [warm_engine.query(focal, k) for focal in focals]
         warm_seconds = time.perf_counter() - warm_start
 
-        hits = warm_engine.cache_info()["hits"]
+        hits = warm_engine.metrics()["engine.result_cache.hits"]
         for cold, warm in zip(cold_results, warm_results):
             assert_results_identical(warm, cold)
         assert hits == len(focals), f"expected {len(focals)} warm hits, got {hits}"

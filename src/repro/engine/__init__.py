@@ -31,12 +31,11 @@ False
 
 from .batch import BatchReport, QueryBatch, QueryOutcome, QuerySpec, run_batch
 from .cache import CacheEntry, PartialEntry, PartialStore, ResultCache, options_key
-from .engine import Engine, EngineStats
+from .engine import Engine
 from .workload import Workload, WorkloadQuery, generate_workload, replay, zipf_weights
 
 __all__ = [
     "Engine",
-    "EngineStats",
     "ResultCache",
     "CacheEntry",
     "PartialStore",

@@ -203,8 +203,7 @@ class QueryBatch:
         if self.workers is not None and self.workers > 1:
             return self._run_sharded(specs)
         normalized = [coerce_spec(index, spec) for index, spec in enumerate(specs)]
-        hits_before = self.engine.stats.cache_hits
-        cold_before = self.engine.stats.cold_queries
+        before = self.engine.metrics()
 
         start = time.perf_counter()
         if self.max_workers == 1:
@@ -214,11 +213,12 @@ class QueryBatch:
                 outcomes = list(pool.map(self._run_one, normalized))
         wall = time.perf_counter() - start
 
+        after = self.engine.metrics()
         return BatchReport(
             outcomes=outcomes,
             wall_seconds=wall,
-            cache_hits=self.engine.stats.cache_hits - hits_before,
-            cold_queries=self.engine.stats.cold_queries - cold_before,
+            cache_hits=after["engine.result_cache.hits"] - before["engine.result_cache.hits"],
+            cold_queries=after["engine.queries.cold"] - before["engine.queries.cold"],
         )
 
     def _run_sharded(self, specs: Iterable[QuerySpec | tuple]) -> BatchReport:
@@ -328,8 +328,7 @@ class QueryBatch:
         brackets — the cheapest way to run a purely deadline-bounded batch.
         """
         normalized = [coerce_spec(index, spec) for index, spec in enumerate(specs)]
-        hits_before = self.engine.stats.cache_hits
-        cold_before = self.engine.stats.cold_queries
+        before = self.engine.metrics()
         start = time.perf_counter()
         expires_at = None if deadline is None else start + float(deadline)
         # One budget probes the batch-level cancellation flag; the per-query
@@ -366,11 +365,12 @@ class QueryBatch:
                 outcome.error = error
             outcome.seconds = time.perf_counter() - query_start
 
+        after = self.engine.metrics()
         return BatchReport(
             outcomes=normalized,
             wall_seconds=time.perf_counter() - start,
-            cache_hits=self.engine.stats.cache_hits - hits_before,
-            cold_queries=self.engine.stats.cold_queries - cold_before,
+            cache_hits=after["engine.result_cache.hits"] - before["engine.result_cache.hits"],
+            cold_queries=after["engine.queries.cold"] - before["engine.queries.cold"],
         )
 
 

@@ -31,13 +31,15 @@ updated record ``r``:
    every reported rank, and possibly emptiness) changes: drop the entry;
 3. ``r`` is a competitor with fewer than ``k`` dominators — it belongs to the
    entry's (pruned) competitor set: drop the entry;
-4. ``r`` is a competitor with ``>= k`` dominators — it was pruned anyway; the
-   entry is dropped only if the update moved some *other* competitor across
-   the k-skyband boundary (its dominator count crossed ``k``), which would
-   change the pruned input of a cold re-run.  (By transitivity of dominance,
-   every dominator of ``r`` also dominates whatever ``r`` dominates, so such
-   a crossing provably cannot happen — the check is kept as a cheap safety
-   net rather than a live code path.)
+4. ``r`` is a competitor with ``>= k`` dominators — it lies outside the
+   k-skyband, so the entry's pruned input never held it: the entry is
+   untouched.  No *other* record crosses the k-skyband boundary either.  An
+   update of ``r`` changes only the counts of the records ``r`` dominates,
+   and by transitivity of dominance each of ``r``'s ``c >= k`` dominators
+   dominates them too, so each has at least ``c + 1`` dominators after an
+   insert and at least ``c`` after a delete: outside the band on both
+   sides.  ``tests/test_index_incremental.py`` checks this property on
+   random tie-heavy update sequences.
 
 Rules 1–4 keep cached results byte-identical to what a cold re-run against
 the current dataset would produce.
@@ -97,56 +99,56 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..live.updates import AppliedBatch, UpdateBatch, UpdateOp
     from ..snapshot.store import SnapshotStore
 
-__all__ = ["Engine", "EngineStats"]
+__all__ = ["Engine"]
 
 #: Preference-space tag used to segregate hyperplane caches (a transformed-
 #: space hyperplane and an original-space one differ for the same record).
 _TRANSFORMED = "transformed"
 _ORIGINAL = "original"
 
+#: The counters the engine itself keeps, under their catalogued names; the
+#: result cache and the partial store keep the rest (see :meth:`Engine.metrics`).
+_ENGINE_COUNTERS = (
+    "engine.queries", "engine.queries.cold", "engine.prepared.builds",
+    "engine.prepared.reuses", "engine.updates.inserts", "engine.updates.deletes",
+    "engine.result_cache.adopted", "engine.stream.queries",
+)
 
-@dataclass
-class EngineStats:
-    """Serving-side counters (the per-query :class:`QueryStats` still travel
-    with each result)."""
+#: The :meth:`Engine.metrics` names exported as gauges; the rest are counters.
+_GAUGES = frozenset((
+    "engine.seconds.cold", "engine.seconds.prepare", "engine.prepared.entries",
+    "engine.prepared.capacity", "engine.dataset.cardinality",
+    "engine.result_cache.entries", "engine.result_cache.capacity",
+    "engine.partial_store.entries", "engine.partial_store.capacity",
+))
 
-    queries: int = 0
-    cache_hits: int = 0
-    cold_queries: int = 0
-    prepared_builds: int = 0
-    prepared_reuses: int = 0
-    inserts: int = 0
-    deletes: int = 0
-    entries_invalidated: int = 0
-    entries_retained: int = 0
-    adopted_results: int = 0
-    stream_queries: int = 0
-    stream_resumes: int = 0
-    partials_saved: int = 0
-    partials_invalidated: int = 0
-    cold_seconds: float = 0.0
-    prepare_seconds: float = 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for logs and benchmark JSON."""
-        return {
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "cold_queries": self.cold_queries,
-            "prepared_builds": self.prepared_builds,
-            "prepared_reuses": self.prepared_reuses,
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "entries_invalidated": self.entries_invalidated,
-            "entries_retained": self.entries_retained,
-            "adopted_results": self.adopted_results,
-            "stream_queries": self.stream_queries,
-            "stream_resumes": self.stream_resumes,
-            "partials_saved": self.partials_saved,
-            "partials_invalidated": self.partials_invalidated,
-            "cold_seconds": self.cold_seconds,
-            "prepare_seconds": self.prepare_seconds,
-        }
+@dataclass(slots=True)
+class _Plan:
+    """One query resolved once by :meth:`Engine._plan`: every serving path reads
+    its method, canonical options, dataset state, space, pruning and key here.
+    """
+
+    method: str
+    run: Callable[..., KSPRResult]
+    focal: np.ndarray
+    k: int
+    options: dict
+    opts: tuple
+    snapshot: Dataset
+    fingerprint: str
+    space: str
+    pruned: bool
+
+    @property
+    def key(self) -> tuple:
+        """The result-cache and partial-store key of this query."""
+        return (self.fingerprint, self.focal.tobytes(), self.k, self.method, self.opts)
+
+    def rebase(self, snapshot: Dataset) -> None:
+        """Re-key onto ``snapshot``, the state the prepared entry describes."""
+        self.snapshot = snapshot
+        self.fingerprint = snapshot.fingerprint()
 
 
 @dataclass
@@ -275,8 +277,9 @@ class Engine:
         self._live: "LiveSession | None" = None
         self._update_seq = 0
         self._lock = threading.RLock()
-        self.stats = EngineStats()
-        self.stats.prepare_seconds += time.perf_counter() - prepare_start
+        self._counters: dict[str, float] = dict.fromkeys(_ENGINE_COUNTERS, 0)
+        self._counters["engine.seconds.cold"] = 0.0
+        self._counters["engine.seconds.prepare"] = time.perf_counter() - prepare_start
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -378,13 +381,73 @@ class Engine:
         their in-flight table on the canonical key.  ``fingerprint`` pins the
         key to a specific dataset state (default: the current one).
         """
-        method_name, _ = resolve_method(method or self._default_method)
-        focal_array = np.asarray(focal, dtype=float)
-        opts = options_key(self._effective_options(dict(options or {}), method_name))
+        plan = self._plan(focal, k, method, options or {}, fingerprint=fingerprint, validate=False)
+        return plan.key
+
+    def _plan(
+        self,
+        focal: np.ndarray | Sequence[float],
+        k: int,
+        method: str | None,
+        options: dict,
+        *,
+        approx: "object | None" = None,
+        fingerprint: str | None = None,
+        validate: bool = True,
+    ) -> _Plan:
+        """Resolve one query once: method, options, state, space, pruning, key.
+
+        ``approx=`` folds into ``method="sample"`` with the spec's fields as
+        options.  ``validate=False`` skips query validation for the callers
+        that only key an answer (:meth:`canonical_key`,
+        :meth:`cached_result`, :meth:`adopt_result`), which never reject a
+        query.  ``fingerprint`` pins the key to a specific dataset state
+        (default: the current one).
+        """
+        if approx is not None:
+            from ..approx.estimator import ApproxSpec  # local import: engine <-> approx
+
+            spec = ApproxSpec.coerce(approx)
+            if method is not None and resolve_method(method)[0] != "sample_kspr":
+                raise InvalidQueryError(
+                    f"approx={approx!r} conflicts with method={method!r}; "
+                    "the approximate mode is method='sample'"
+                )
+            conflicts = set(options) & set(ApproxSpec.__dataclass_fields__)
+            if conflicts:
+                raise InvalidQueryError(
+                    f"approx= conflicts with the explicit option(s) "
+                    f"{sorted(conflicts)}; declare the accuracy contract in "
+                    "one place"
+                )
+            method = "sample"
+            options = {**spec.as_options(), **options}
+        method_name, method_func = resolve_method(method or self._default_method)
         with self._lock:
-            if fingerprint is None:
-                fingerprint = self._snapshot.fingerprint()
-        return (fingerprint, focal_array.tobytes(), int(k), method_name, opts)
+            snapshot = self._snapshot
+        focal_array = (
+            validate_query(snapshot, focal, k) if validate else np.asarray(focal, dtype=float)
+        )
+        options = self._effective_options(options, method_name)
+        space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else options.get(
+            "space", _TRANSFORMED
+        )
+        return _Plan(
+            method=method_name,
+            run=method_func,
+            focal=focal_array,
+            k=int(k),
+            options=options,
+            opts=options_key(options),
+            snapshot=snapshot,
+            fingerprint=snapshot.fingerprint() if fingerprint is None else fingerprint,
+            space=space,
+            pruned=self._prunes(k),
+        )
+
+    def _prunes(self, k: int) -> bool:
+        """Whether a ``k`` query runs against the k-skyband slice (Lemma 6)."""
+        return self._prune and int(k) <= self.k_max
 
     def dominator_counts(self) -> np.ndarray:
         """Per-record dominator counts aligned with ``dataset`` rows.
@@ -425,18 +488,11 @@ class Engine:
         the current one); a hit is counted as a served query in the engine
         statistics.
         """
-        method_name, _ = resolve_method(method or self._default_method)
-        focal_array = np.asarray(focal, dtype=float)
-        options = self._effective_options(options or {}, method_name)
-        opts = options_key(options)
+        plan = self._plan(focal, k, method, options or {}, fingerprint=fingerprint, validate=False)
         with self._lock:
-            if fingerprint is None:
-                fingerprint = self._snapshot.fingerprint()
-            key = (fingerprint, focal_array.tobytes(), int(k), method_name, opts)
-            cached = self._result_cache.get(key)
+            cached = self._result_cache.get(plan.key)
             if cached is not None:
-                self.stats.queries += 1
-                self.stats.cache_hits += 1
+                self._counters["engine.queries"] += 1
             return cached
 
     def skyband_ids(self, k: int) -> set[int]:
@@ -454,111 +510,59 @@ class Engine:
         with self._lock:
             return bbs_skyline(self._shared_tree)
 
-    def cache_info(self) -> dict[str, int | float]:
-        """Result-cache counters (size, hits, misses, invalidations, ...).
-
-        .. deprecated::
-            Legacy accessor kept for backwards compatibility; the same
-            numbers are served under canonical ``engine.result_cache.*``
-            names by :meth:`metrics`.
-        """
-        with self._lock:
-            return self._result_cache.info()
-
-    def prepared_info(self) -> dict[str, int]:
-        """Prepared-state counters.
-
-        .. deprecated::
-            Legacy accessor kept for backwards compatibility; the same
-            numbers are served under canonical ``engine.prepared.*`` names
-            by :meth:`metrics`.
-        """
-        with self._lock:
-            return {
-                "size": len(self._prepared),
-                "capacity": self._prepared_capacity,
-                "builds": self.stats.prepared_builds,
-                "reuses": self.stats.prepared_reuses,
-            }
-
     def metrics_registry(self) -> MetricsRegistry:
         """Every engine-side counter as one canonical :class:`MetricsRegistry`.
 
-        This is the unification point for the historical spellings: the
-        :class:`EngineStats` fields, :meth:`cache_info`,
-        :meth:`prepared_info` and :meth:`partial_info` all published
-        overlapping numbers under private names; here each quantity appears
-        exactly once, under its canonical dotted name (``engine.queries``,
-        ``engine.result_cache.hits``, ``engine.partial_store.saved``, …).
-        Where two legacy sources counted the same event (for example
-        ``EngineStats.cache_hits`` and ``cache_info()["hits"]``), the
-        registry records it once.  Counters land as :class:`Counter`,
-        sizes/capacities/accumulated seconds as :class:`Gauge` — ready for
-        :func:`repro.obs.registry_to_prometheus`.
+        The same numbers as :meth:`metrics`, with counters landing as
+        :class:`Counter` and sizes, capacities and accumulated seconds as
+        :class:`Gauge` — ready for :func:`repro.obs.registry_to_prometheus`.
         """
         registry = MetricsRegistry()
-        with self._lock:
-            stats = self.stats
-            counters = {
-                "engine.queries": stats.queries,
-                "engine.queries.cold": stats.cold_queries,
-                "engine.prepared.builds": stats.prepared_builds,
-                "engine.prepared.reuses": stats.prepared_reuses,
-                "engine.updates.inserts": stats.inserts,
-                "engine.updates.deletes": stats.deletes,
-                "engine.result_cache.retained": stats.entries_retained,
-                "engine.result_cache.adopted": stats.adopted_results,
-                "engine.stream.queries": stats.stream_queries,
-                "engine.stream.resumes": stats.stream_resumes,
-            }
-            gauges = {
-                "engine.seconds.cold": stats.cold_seconds,
-                "engine.seconds.prepare": stats.prepare_seconds,
-                "engine.prepared.entries": len(self._prepared),
-                "engine.prepared.capacity": self._prepared_capacity,
-                "engine.dataset.cardinality": self._snapshot.cardinality,
-            }
-            cache = self._result_cache.info()
-            partials = self._partials.info()
-        # The caches' own counters are authoritative for cache-level numbers
-        # (EngineStats.cache_hits / partials_saved / entries_invalidated
-        # count the same events and are deliberately not re-recorded).
-        for legacy, name, kind in (
-            ("size", "engine.result_cache.entries", "gauge"),
-            ("capacity", "engine.result_cache.capacity", "gauge"),
-            ("hits", "engine.result_cache.hits", "counter"),
-            ("misses", "engine.result_cache.misses", "counter"),
-            ("insertions", "engine.result_cache.insertions", "counter"),
-            ("evictions", "engine.result_cache.evictions", "counter"),
-            ("invalidated", "engine.result_cache.invalidated", "counter"),
-            ("rekeyed", "engine.result_cache.rekeyed", "counter"),
-        ):
-            (gauges if kind == "gauge" else counters)[name] = cache[legacy]
-        for legacy, name, kind in (
-            ("size", "engine.partial_store.entries", "gauge"),
-            ("capacity", "engine.partial_store.capacity", "gauge"),
-            ("saves", "engine.partial_store.saved", "counter"),
-            ("resumes", "engine.partial_store.resumes", "counter"),
-            ("evictions", "engine.partial_store.evictions", "counter"),
-            ("invalidated", "engine.partial_store.invalidated", "counter"),
-        ):
-            (gauges if kind == "gauge" else counters)[name] = partials[legacy]
-        for name, value in counters.items():
-            registry.counter(name).inc(value)
-        for name, value in gauges.items():
-            registry.gauge(name).set(value)
+        for name, value in self.metrics().items():
+            if name in _GAUGES:
+                registry.gauge(name).set(value)
+            else:
+                registry.counter(name).inc(value)
         return registry
 
     def metrics(self) -> dict[str, float]:
         """Flat ``{canonical name: value}`` snapshot of every engine counter.
 
-        The canonical replacement for reading :attr:`stats`,
-        :meth:`cache_info`, :meth:`prepared_info` and :meth:`partial_info`
-        separately — one name per number, shared with the exporters and the
-        experiment harness.  Equivalent to
-        ``self.metrics_registry().snapshot()``.
+        One name per number (``engine.queries``,
+        ``engine.result_cache.hits``, ``engine.partial_store.saved``, …),
+        shared with the exporters and the experiment harness; the names are
+        :data:`repro.obs.names.ENGINE_METRIC_NAMES`, in sorted order.  The
+        engine keeps its own counters; the result cache and the partial
+        store are authoritative for theirs.
         """
-        return self.metrics_registry().snapshot()
+        with self._lock:
+            cache, partials = self._result_cache, self._partials
+            values = {
+                **self._counters,
+                "engine.prepared.entries": len(self._prepared),
+                "engine.prepared.capacity": self._prepared_capacity,
+                "engine.dataset.cardinality": self._snapshot.cardinality,
+                "engine.result_cache.entries": len(cache),
+                "engine.result_cache.capacity": cache.capacity,
+                "engine.result_cache.hits": cache.hits,
+                "engine.result_cache.misses": cache.misses,
+                "engine.result_cache.insertions": cache.insertions,
+                "engine.result_cache.evictions": cache.evictions,
+                "engine.result_cache.invalidated": cache.invalidated,
+                # An update re-keys exactly the entries it retains, and only a
+                # stream resume checks a checkpoint out: one count each,
+                # catalogued under two names.
+                "engine.result_cache.retained": cache.rekeyed,
+                "engine.result_cache.rekeyed": cache.rekeyed,
+                "engine.stream.resumes": partials.resumes,
+                "engine.partial_store.resumes": partials.resumes,
+                "engine.partial_store.entries": len(partials),
+                "engine.partial_store.capacity": partials.capacity,
+                "engine.partial_store.saved": partials.saves,
+                "engine.partial_store.evictions": partials.evictions,
+                "engine.partial_store.invalidated": partials.invalidated,
+            }
+        return dict(sorted(values.items()))
 
     def profile(
         self,
@@ -659,75 +663,43 @@ class Engine:
         InvalidQueryError
             For malformed query inputs or an invalid accuracy contract.
         """
-        if approx is not None:
-            from ..approx.estimator import ApproxSpec  # local import: engine <-> approx
-
-            spec = ApproxSpec.coerce(approx)
-            if method is not None and resolve_method(method)[0] != "sample_kspr":
-                raise InvalidQueryError(
-                    f"approx={approx!r} conflicts with method={method!r}; "
-                    "the approximate mode is method='sample'"
-                )
-            conflicts = set(options) & set(ApproxSpec.__dataclass_fields__)
-            if conflicts:
-                raise InvalidQueryError(
-                    f"approx= conflicts with the explicit option(s) "
-                    f"{sorted(conflicts)}; declare the accuracy contract in "
-                    "one place"
-                )
-            method = "sample"
-            options = {**spec.as_options(), **options}
-        method_name, method_func = resolve_method(method or self._default_method)
-        with self._lock:
-            snapshot = self._snapshot
-        focal_array = validate_query(snapshot, focal, k)
-        options = self._effective_options(options, method_name)
-        opts = options_key(options)
-        key = (snapshot.fingerprint(), focal_array.tobytes(), int(k), method_name, opts)
-
+        plan = self._plan(focal, k, method, options, approx=approx)
         tracer = current_tracer()
-        with tracer.span("engine.query", method=method_name, k=int(k)) as query_span:
+        with tracer.span("engine.query", method=plan.method, k=plan.k) as query_span:
             with tracer.span("engine.cache.lookup", bypassed=not use_cache) as lookup:
                 with self._lock:
-                    self.stats.queries += 1
-                    cached = self._result_cache.get(key) if use_cache else None
-                    if cached is not None:
-                        self.stats.cache_hits += 1
+                    self._counters["engine.queries"] += 1
+                    cached = self._result_cache.get(plan.key) if use_cache else None
                 lookup.set(outcome="hit" if cached is not None else "miss")
             if cached is not None:
                 query_span.set(cache="hit")
                 return cached
             query_span.set(cache="miss")
 
-            space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else options.get(
-                "space", _TRANSFORMED
-            )
             with tracer.span("engine.prepare") as prepare_span:
-                entry, snapshot = self._prepared_for(
-                    focal_array, int(k), space, build_tree=method_name != "sample_kspr"
-                )
+                entry = self._prepared_for(plan, build_tree=plan.method != "sample_kspr")
                 prepare_span.set(
-                    space=space,
+                    space=plan.space,
                     pruned=entry.pruned,
                     competitors=int(entry.prepared.partition.competitors.cardinality),
                 )
 
             with tracer.span("engine.execute") as execute_span:
                 cold_start = time.perf_counter()
-                if workers is not None and workers > 1 and method_name == "cta":
+                if workers is not None and workers > 1 and plan.method == "cta":
                     from ..parallel.subtree import parallel_cta  # local import: avoids a cycle
 
                     result = parallel_cta(
-                        snapshot,
-                        focal_array,
-                        int(k),
+                        plan.snapshot,
+                        plan.focal,
+                        plan.k,
                         workers=workers,
                         prepared=entry.prepared,
-                        **options,
+                        **plan.options,
                     )
                 else:
-                    call_options = dict(options)
-                    if method_name == "sample_kspr":
+                    call_options = dict(plan.options)
+                    if plan.method == "sample_kspr":
                         # Admission already validated (and possibly warned about)
                         # the query; the estimator must not warn a second time.
                         # Neither flag participates in the cache key (warn is
@@ -736,8 +708,8 @@ class Engine:
                         call_options["warn"] = False
                         if workers is not None and workers > 1:
                             call_options["workers"] = workers
-                    result = method_func(
-                        snapshot, focal_array, int(k), prepared=entry.prepared, **call_options
+                    result = plan.run(
+                        plan.snapshot, plan.focal, plan.k, prepared=entry.prepared, **call_options
                     )
                 cold_seconds = time.perf_counter() - cold_start
                 if tracer.enabled:
@@ -763,25 +735,10 @@ class Engine:
                     )
 
         with self._lock:
-            self.stats.cold_queries += 1
-            self.stats.cold_seconds += cold_seconds
-            # Guard against a concurrent update: never cache a result computed
-            # against a superseded dataset state.
-            if use_cache and snapshot is self._snapshot:
-                self._result_cache.put(
-                    CacheEntry(
-                        fingerprint=snapshot.fingerprint(),
-                        focal=focal_array,
-                        k=int(k),
-                        method=method_name,
-                        opts=opts,
-                        result=result,
-                        pruned=entry.pruned,
-                    )
-                )
-                # The full result shadows any paused-stream checkpoint under
-                # this key; release it rather than let it linger unreachable.
-                self._partials.discard(key)
+            self._counters["engine.queries.cold"] += 1
+            self._counters["engine.seconds.cold"] += cold_seconds
+            if use_cache:
+                self._install(plan, result)
         return result
 
     def query_stream(
@@ -838,32 +795,21 @@ class Engine:
         from ..stream.anytime import StreamBudget  # local: engine <-> stream
 
         StreamBudget(deadline=deadline, max_batches=max_batches, deadline_at=deadline_at)
-        method_name, _ = resolve_method(method or self._default_method)
-        if method_name == "sample_kspr":
+        plan = self._plan(focal, k, method, options)
+        if plan.method == "sample_kspr":
             raise InvalidQueryError(
                 "method='sample' has no streaming implementation; use "
                 "query(approx=...) — the adaptive sampling mode already "
                 "refines its estimate incrementally"
             )
-        with self._lock:
-            snapshot = self._snapshot
-        focal_array = validate_query(snapshot, focal, k)
-        options = self._effective_options(options, method_name)
-        opts = options_key(options)
         return self._stream(
-            snapshot, focal_array, int(k), method_name, options, opts,
-            deadline=deadline, deadline_at=deadline_at, max_batches=max_batches,
+            plan, deadline=deadline, deadline_at=deadline_at, max_batches=max_batches,
             cancel=cancel, workers=workers, capture=capture,
         )
 
     def _stream(
         self,
-        snapshot: Dataset,
-        focal_array: np.ndarray,
-        k: int,
-        method_name: str,
-        options: dict,
-        opts: tuple,
+        plan: _Plan,
         *,
         deadline: float | None,
         deadline_at: float | None,
@@ -873,20 +819,14 @@ class Engine:
         capture: bool,
     ) -> Iterator[PartialKSPRResult]:
         """Generator behind :meth:`query_stream` (checkout → advance → checkpoint)."""
-        from ..stream.anytime import AnytimeQuery, stream_kspr  # local: engine <-> stream
-
-        fingerprint = snapshot.fingerprint()
-        key = (fingerprint, focal_array.tobytes(), k, method_name, opts)
-        pruned = self._prune and k <= self.k_max
         tracer = current_tracer()
-
+        key = plan.key
         with self._lock:
-            self.stats.queries += 1
-            self.stats.stream_queries += 1
+            self._counters["engine.queries"] += 1
+            self._counters["engine.stream.queries"] += 1
             cached = self._result_cache.get(key)
             checkpoint = None
             if cached is not None:
-                self.stats.cache_hits += 1
                 # A full result shadows any checkpoint under the same key
                 # forever; release the orphan's resources now.
                 self._partials.discard(key)
@@ -901,7 +841,6 @@ class Engine:
                     checkpoint = None
                 elif checkpoint is not None:
                     checkpoint = self._partials.pop(key)
-                    self.stats.stream_resumes += 1
         if tracer.enabled:
             # Created and finished immediately (never entered as a context
             # manager): the generator frame runs in its consumer's context,
@@ -912,77 +851,53 @@ class Engine:
                 else "resume" if checkpoint is not None
                 else "cold"
             )
-            checkout = tracer.span("engine.stream.checkout", method=method_name, k=int(k))
+            checkout = tracer.span("engine.stream.checkout", method=plan.method, k=plan.k)
             checkout.set(outcome=outcome)
             checkout.finish()
         if cached is not None:
             yield PartialKSPRResult.from_result(cached)
             return
 
-        if checkpoint is not None:
-            from ..snapshot.persist import ReplayCheckpoint  # local: engine <-> snapshot
+        from ..snapshot.persist import ReplayCheckpoint  # local: engine <-> snapshot
+        from ..stream.anytime import stream_kspr  # local: engine <-> stream
 
+        anytime = None
+        if checkpoint is not None:
             anytime = checkpoint.query
-            fingerprint = checkpoint.fingerprint
             # The suspended producers keep their original capture mode; a
             # re-checkpoint must record that, not the caller's flag.
             capture = checkpoint.capture
-            if isinstance(anytime, ReplayCheckpoint):
-                # A persisted checkpoint survived a restart as a replay
-                # recipe, not a live generator.  Rebuild the stream through
-                # the ordinary cold path and fast-forward exactly the
-                # persisted number of work units: the tick stream is
-                # deterministic for a fixed (state, focal, k, method,
-                # options), so this lands on the very frontier the original
-                # process was suspended at.
-                replay = anytime
-                replay_options = dict(replay.options)
-                space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else (
-                    replay_options.get("space", _TRANSFORMED)
-                )
-                entry, prepared_snapshot = self._prepared_for(focal_array, k, space)
-                if prepared_snapshot.fingerprint() != fingerprint:
-                    # An update raced the resume; the recipe's tick cursor
-                    # describes a superseded state.  Re-key to the state the
-                    # prepared entry is consistent with and run cold —
-                    # slower, never wrong.
-                    snapshot = prepared_snapshot
-                    fingerprint = snapshot.fingerprint()
-                    key = (fingerprint, focal_array.tobytes(), k, method_name, opts)
-                    replay = None
-                anytime = stream_kspr(
-                    prepared_snapshot,
-                    focal_array,
-                    k,
-                    method=method_name,
-                    prepared=entry.prepared,
-                    capture=capture,
-                    **replay_options,
-                )
-                if replay is not None and replay.ticks > 0:
-                    for _ in anytime.advance(max_batches=replay.ticks):
-                        pass
-        else:
-            space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else options.get(
-                "space", _TRANSFORMED
-            )
-            entry, prepared_snapshot = self._prepared_for(focal_array, k, space)
-            if prepared_snapshot is not snapshot:
-                # An update raced query admission: stream against the state
-                # the prepared entry describes and re-key accordingly.
-                snapshot = prepared_snapshot
-                fingerprint = snapshot.fingerprint()
-                key = (fingerprint, focal_array.tobytes(), k, method_name, opts)
+        if anytime is None or isinstance(anytime, ReplayCheckpoint):
+            # A cold stream, or a persisted checkpoint that survived a
+            # restart as a replay recipe, not a live generator.  A replay
+            # rebuilds the stream through the cold path and fast-forwards
+            # exactly the persisted number of work units: the tick stream is
+            # deterministic for a fixed (state, focal, k, method, options),
+            # so this lands on the very frontier the original process was
+            # suspended at.  Replays run the serial path, whose tick stream
+            # is snapshot-for-snapshot identical to the sharded one.
+            ticks = 0 if anytime is None else anytime.ticks
+            fingerprint = plan.fingerprint
+            entry = self._prepared_for(plan)
+            if plan.fingerprint != fingerprint:
+                # An update raced admission or the resume: the plan now
+                # streams against the state the prepared entry describes.  A
+                # recipe's tick cursor describes the superseded state, so it
+                # runs cold — slower, never wrong.
+                ticks = 0
             anytime = stream_kspr(
-                snapshot,
-                focal_array,
-                k,
-                method=method_name,
-                workers=workers if method_name == "cta" else None,
+                plan.snapshot,
+                plan.focal,
+                plan.k,
+                method=plan.method,
+                workers=workers if plan.method == "cta" and checkpoint is None else None,
                 prepared=entry.prepared,
                 capture=capture,
-                **options,
+                **plan.options,
             )
+            if ticks > 0:
+                for _ in anytime.advance(max_batches=ticks):
+                    pass
 
         try:
             for partial in anytime.advance(
@@ -992,21 +907,8 @@ class Engine:
                 if partial.done:
                     result = anytime.result()
                     with self._lock:
-                        self.stats.cold_queries += 1
-                        # Never cache a result whose dataset state has been
-                        # superseded mid-stream.
-                        if self._snapshot.fingerprint() == fingerprint:
-                            self._result_cache.put(
-                                CacheEntry(
-                                    fingerprint=fingerprint,
-                                    focal=focal_array,
-                                    k=k,
-                                    method=method_name,
-                                    opts=opts,
-                                    result=result,
-                                    pruned=pruned,
-                                )
-                            )
+                        self._counters["engine.queries.cold"] += 1
+                        self._install(plan, result)
                     yield PartialKSPRResult.from_result(result, batches=partial.batches)
                 else:
                     yield partial
@@ -1021,25 +923,27 @@ class Engine:
                     # concurrent query already installed the full result —
                     # every lookup would hit that first, orphaning the
                     # checkpoint (and any suspended worker pool) forever.
-                    if self._snapshot.fingerprint() == fingerprint and key not in self._result_cache:
+                    if (
+                        self._snapshot.fingerprint() == plan.fingerprint
+                        and plan.key not in self._result_cache
+                    ):
                         self._partials.put(
                             PartialEntry(
-                                fingerprint=fingerprint,
-                                focal=focal_array,
-                                k=k,
-                                method=method_name,
-                                opts=opts,
+                                fingerprint=plan.fingerprint,
+                                focal=plan.focal,
+                                k=plan.k,
+                                method=plan.method,
+                                opts=plan.opts,
                                 query=anytime,
-                                pruned=pruned,
+                                pruned=plan.pruned,
                                 capture=capture,
-                                options=dict(options),
+                                options=dict(plan.options),
                                 workers=workers,
                             )
                         )
-                        self.stats.partials_saved += 1
                         if tracer.enabled:
                             saved = tracer.span(
-                                "engine.stream.checkpoint", method=method_name, k=int(k)
+                                "engine.stream.checkpoint", method=plan.method, k=plan.k
                             )
                             saved.note(batches=int(anytime._batches))
                             saved.finish()
@@ -1048,16 +952,27 @@ class Engine:
                         # state may describe a stale competitor set, drop it.
                         anytime.close()
 
-    def partial_info(self) -> dict[str, int]:
-        """Paused-stream checkpoint counters (size, saves, resumes, ...).
+    def _install(self, plan: _Plan, result: KSPRResult | ApproxKSPRResult) -> bool:
+        """Cache ``result`` under ``plan``'s key; False if an update superseded it.
 
-        .. deprecated::
-            Legacy accessor kept for backwards compatibility; the same
-            numbers are served under canonical ``engine.partial_store.*``
-            names by :meth:`metrics`.
+        Releases any paused-stream checkpoint the full result now shadows.
         """
         with self._lock:
-            return self._partials.info()
+            if plan.fingerprint != self._snapshot.fingerprint():
+                return False
+            self._result_cache.put(
+                CacheEntry(
+                    fingerprint=plan.fingerprint,
+                    focal=plan.focal,
+                    k=plan.k,
+                    method=plan.method,
+                    opts=plan.opts,
+                    result=result,
+                    pruned=plan.pruned,
+                )
+            )
+            self._partials.discard(plan.key)
+            return True
 
     def adopt_result(
         self,
@@ -1077,29 +992,12 @@ class Engine:
         when an update has superseded that state, so a stale answer can never
         enter the cache.
         """
-        method_name, _ = resolve_method(method or self._default_method)
-        focal_array = np.asarray(focal, dtype=float)
-        opts = options_key(self._effective_options(options, method_name))
+        plan = self._plan(focal, k, method, options, fingerprint=fingerprint, validate=False)
         with self._lock:
-            if fingerprint != self._snapshot.fingerprint():
-                return False
-            pruned = self._prune and int(k) <= self.k_max
-            self._result_cache.put(
-                CacheEntry(
-                    fingerprint=fingerprint,
-                    focal=focal_array,
-                    k=int(k),
-                    method=method_name,
-                    opts=opts,
-                    result=result,
-                    pruned=pruned,
-                )
-            )
-            self._partials.discard(
-                (fingerprint, focal_array.tobytes(), int(k), method_name, opts)
-            )
-            self.stats.adopted_results += 1
-            return True
+            adopted = self._install(plan, result)
+            if adopted:
+                self._counters["engine.result_cache.adopted"] += 1
+            return adopted
 
     # ------------------------------------------------------------------ #
     # persistence (repro.snapshot)
@@ -1183,7 +1081,7 @@ class Engine:
                         engine.insert(update.values, record_id=update.record_id)
                     store.replayed_updates += 1
                 replayed = engine.fingerprint == target.fingerprint
-            except (ReproError, KeyError):
+            except ReproError:
                 # A diff the update path cannot replay (id below the floor,
                 # emptied dataset, inconsistent stores): fall back below.
                 replayed = False
@@ -1223,16 +1121,16 @@ class Engine:
                 )
             self._id_floor = max(self._id_floor, watermark)
 
-    def _prepared_for(
-        self, focal: np.ndarray, k: int, space: str, build_tree: bool = True
-    ) -> tuple[_PreparedEntry, Dataset]:
-        """Fetch or build the prepared state for one ``(focal, k, space)``.
+    def _prepared_for(self, plan: _Plan, build_tree: bool = True) -> _PreparedEntry:
+        """Fetch or build the prepared state for ``plan``'s ``(focal, k, space)``.
 
-        Returns the entry together with the dataset snapshot it is consistent
-        with — the caller must run the query against exactly that snapshot.
-        The focal partition and the k-skyband slice are computed *under the
-        engine lock* so they always describe one dataset state; only the
-        expensive R-tree build runs unlocked.
+        Re-keys ``plan`` onto the dataset snapshot the entry is consistent
+        with (:meth:`_Plan.rebase`) — the caller must run the query against
+        exactly ``plan.snapshot``, so an update that raced query admission
+        moves the whole query onto the newer state.  The focal partition and
+        the k-skyband slice are computed *under the engine lock* so they
+        always describe one dataset state; only the expensive R-tree build
+        runs unlocked.
 
         Entries are keyed on the *band* rather than ``k`` directly: pruned
         entries depend on ``k`` (the competitor set is the k-skyband slice),
@@ -1246,7 +1144,7 @@ class Engine:
         entries live under their own key so an exact query can never pick
         one up.
         """
-        pruned = self._prune and k <= self.k_max
+        focal, k, space, pruned = plan.focal, plan.k, plan.space, plan.pruned
         band = k if pruned else 0
         pkey = (focal.tobytes(), band, space) if build_tree else (
             focal.tobytes(), band, space, "sample"
@@ -1254,11 +1152,10 @@ class Engine:
         prepare_start = time.perf_counter()
         with self._lock:
             snapshot = self._snapshot
-            entry = self._prepared.get(pkey)
+            entry = self._reuse_prepared(pkey)
             if entry is not None:
-                self._prepared.move_to_end(pkey)
-                self.stats.prepared_reuses += 1
-                return entry, snapshot
+                plan.rebase(snapshot)
+                return entry
             # The exact and sampling entries of one (focal, band, space)
             # share the identical pruned partition; reuse the sibling's
             # (valid for exactly the dataset states this entry would be —
@@ -1297,33 +1194,20 @@ class Engine:
         )
         prepare_seconds = time.perf_counter() - prepare_start
 
+        plan.rebase(snapshot)
         with self._lock:
-            if snapshot is not self._snapshot:
-                # An insert/delete raced this build: the entry is consistent
-                # with the snapshot captured above, so hand it to the caller
-                # (which runs against that snapshot), but never register it —
-                # a later query would otherwise mix it with the *new* dataset
-                # state.
-                return (
-                    _PreparedEntry(
-                        prepared=PreparedQuery(partition, tree, None),
-                        focal=focal.copy(),
-                        k=band,
-                        space=space,
-                        pruned=pruned,
-                    ),
-                    snapshot,
-                )
-            raced = self._prepared.get(pkey)
-            if raced is not None:
-                self._prepared.move_to_end(pkey)
-                self.stats.prepared_reuses += 1
-                return raced, snapshot
-            if build_tree:
-                hkey = (focal.tobytes(), space)
-                hyperplanes = self._hyperplanes.setdefault(hkey, {})
-            else:
-                hyperplanes = None
+            # An insert/delete that raced this build leaves the entry
+            # consistent with the snapshot captured above, so hand it to the
+            # caller (which runs against that snapshot), but never register
+            # it — a later query would otherwise mix it with the *new*
+            # dataset state.
+            registered = snapshot is self._snapshot
+            entry = self._reuse_prepared(pkey) if registered else None
+            if entry is not None:
+                return entry
+            hyperplanes = None
+            if build_tree and registered:
+                hyperplanes = self._hyperplanes.setdefault((focal.tobytes(), space), {})
             entry = _PreparedEntry(
                 prepared=PreparedQuery(partition, tree, hyperplanes),
                 focal=focal.copy(),
@@ -1331,13 +1215,22 @@ class Engine:
                 space=space,
                 pruned=pruned,
             )
-            self._prepared[pkey] = entry
-            self.stats.prepared_builds += 1
-            self.stats.prepare_seconds += prepare_seconds
-            while len(self._prepared) > self._prepared_capacity:
-                _, evicted = self._prepared.popitem(last=False)
-                self._drop_hyperplanes_if_unused(evicted)
-            return entry, snapshot
+            if registered:
+                self._prepared[pkey] = entry
+                self._counters["engine.prepared.builds"] += 1
+                self._counters["engine.seconds.prepare"] += prepare_seconds
+                while len(self._prepared) > self._prepared_capacity:
+                    _, evicted = self._prepared.popitem(last=False)
+                    self._drop_hyperplanes_if_unused(evicted)
+            return entry
+
+    def _reuse_prepared(self, pkey: tuple) -> _PreparedEntry | None:
+        """The registered prepared entry under ``pkey`` (refreshed, counted), or None."""
+        entry = self._prepared.get(pkey)
+        if entry is not None:
+            self._prepared.move_to_end(pkey)
+            self._counters["engine.prepared.reuses"] += 1
+        return entry
 
     def _drop_hyperplanes_if_unused(self, evicted: _PreparedEntry) -> None:
         """Release a focal's hyperplane cache once nothing references it.
@@ -1364,46 +1257,21 @@ class Engine:
 
         Returns the record's stable identifier.  Identifiers are never
         reused, so an explicit ``record_id`` that was ever live (even if
-        since deleted) is rejected.
+        since deleted) is rejected.  A one-op :meth:`apply_updates`.
         """
-        row = np.asarray(values, dtype=float)
-        with self._lock:
-            if record_id is None:
-                record_id = self._next_id
-            record_id = int(record_id)
-            if record_id in self._used_ids:
-                raise InvalidDatasetError(
-                    f"record id {record_id} was already used; ids are never recycled"
-                )
-            if self._id_floor and record_id < self._id_floor:
-                raise InvalidDatasetError(
-                    f"record id {record_id} is below this restored engine's id "
-                    f"floor ({self._id_floor}); every id under the floor may "
-                    "have been issued (and deleted) before the snapshot, and "
-                    "ids are never recycled"
-                )
-            delta = self._skyband.insert(row, record_id)
-            self._used_ids.add(record_id)
-            self._next_id = max(self._next_id, record_id + 1)
-            self._shared_tree.rebind_dataset(self._backing_view())
-            self._shared_tree.insert_position(delta.position)
-            pairs = ((delta, True),)
-            self._finish_update_batch(pairs)
-            self.stats.inserts += 1
-        self._notify_live(pairs)
-        return record_id
+        from ..live.updates import UpdateOp  # local: engine <-> live
+
+        return self.apply_updates((UpdateOp.insert(values, record_id),)).ops[0].record_id
 
     def delete(self, record_id: int) -> None:
-        """Remove one record, patching indexes and invalidating affected caches."""
-        with self._lock:
-            if self._skyband.active_count <= 1:
-                raise InvalidDatasetError("cannot delete the last remaining record")
-            delta = self._skyband.delete(record_id)
-            self._shared_tree.delete_position(delta.position)
-            pairs = ((delta, False),)
-            self._finish_update_batch(pairs)
-            self.stats.deletes += 1
-        self._notify_live(pairs)
+        """Remove one live record, patching indexes and invalidating affected caches.
+
+        A one-op :meth:`apply_updates`: an id that is not live raises
+        :class:`~repro.exceptions.InvalidDatasetError`.
+        """
+        from ..live.updates import UpdateOp  # local: engine <-> live
+
+        self.apply_updates((UpdateOp.delete(record_id),))
 
     def apply_updates(self, updates: "UpdateBatch | Sequence[UpdateOp]") -> "AppliedBatch":
         """Apply a batch of inserts/deletes as one atomic snapshot swap.
@@ -1443,13 +1311,13 @@ class Engine:
                     self._shared_tree.rebind_dataset(self._backing_view())
                     self._shared_tree.insert_position(delta.position)
                     pairs.append((delta, True))
-                    self.stats.inserts += 1
+                    self._counters["engine.updates.inserts"] += 1
                     assigned.append(UpdateOp(op="insert", record_id=rid, values=delta.values))
                 else:
                     delta = self._skyband.delete(int(op.record_id))
                     self._shared_tree.delete_position(delta.position)
                     pairs.append((delta, False))
-                    self.stats.deletes += 1
+                    self._counters["engine.updates.deletes"] += 1
                     assigned.append(op)
             frozen = tuple(pairs)
             self._finish_update_batch(frozen)
@@ -1466,18 +1334,17 @@ class Engine:
     def _validate_batch(self, batch: "UpdateBatch") -> None:
         """Reject the whole batch before any mutation (atomicity guard).
 
-        Simulates the id/liveness bookkeeping op by op so mid-batch
-        failures are impossible once application starts: explicit insert
-        ids must be fresh (never used, not below a restored floor, not
-        claimed twice within the batch), values must match the
-        dimensionality and be finite, deletes must target a
-        then-live id, and the live count must never reach zero.
+        Checks every op against the engine's used and live ids plus the
+        batch's own earlier ops, so mid-batch failures are impossible once
+        application starts: explicit insert ids must be fresh (never used,
+        not below a restored floor, not claimed twice within the batch),
+        values must match the dimensionality and be finite, deletes must
+        target a then-live id, and the live count must never reach zero.
         """
-        sim_used = set(self._used_ids)
-        sim_live = {
-            int(rid) for rid in self._skyband.ids_at(self._skyband.active_positions())
-        }
-        sim_next = self._next_id
+        claimed: set[int] = set()
+        deleted: set[int] = set()
+        next_id = self._next_id
+        live = self._skyband.active_count
         dimensionality = self._snapshot.dimensionality
         for op in batch.ops:
             if op.op == "insert":
@@ -1486,10 +1353,10 @@ class Engine:
                     raise InvalidDatasetError(
                         f"insert has shape {row.shape}, expected ({dimensionality},)"
                     )
-                if not np.all(np.isfinite(row)):
+                if not np.isfinite(row).all():
                     raise InvalidDatasetError("insert values must be finite")
-                rid = sim_next if op.record_id is None else int(op.record_id)
-                if rid in sim_used:
+                rid = next_id if op.record_id is None else int(op.record_id)
+                if rid in self._used_ids or rid in claimed:
                     raise InvalidDatasetError(
                         f"record id {rid} was already used; ids are never recycled"
                     )
@@ -1498,17 +1365,21 @@ class Engine:
                         f"record id {rid} is below this restored engine's id "
                         f"floor ({self._id_floor}); ids are never recycled"
                     )
-                sim_used.add(rid)
-                sim_live.add(rid)
-                sim_next = max(sim_next, rid + 1)
+                claimed.add(rid)
+                next_id = max(next_id, rid + 1)
+                live += 1
             else:
                 rid = int(op.record_id)
-                if rid not in sim_live:
+                # Ids are never recycled, so an id is live at this point iff
+                # it was live before the batch or inserted earlier in it, and
+                # no earlier op deleted it.
+                if rid in deleted or (rid not in self._skyband and rid not in claimed):
                     raise InvalidDatasetError(
                         f"cannot delete record id {rid}: not live at that point in the batch"
                     )
-                sim_live.remove(rid)
-                if not sim_live:
+                deleted.add(rid)
+                live -= 1
+                if not live:
                     raise InvalidDatasetError("cannot delete the last remaining record")
 
     # ------------------------------------------------------------------ #
@@ -1543,12 +1414,8 @@ class Engine:
         monotone ``[lower, upper]`` impact bracket through the resumable
         stream path instead of an exact answer.
         """
-        from ..live.session import LiveSession  # local import: engine <-> live
-
         with self._lock:
-            if self._live is None:
-                self._live = LiveSession(self)
-            return self._live._subscribe_locked(focal, k, method, anytime, dict(options))
+            return self.live._subscribe_locked(focal, k, method, anytime, dict(options))
 
     def update_affects(
         self,
@@ -1570,10 +1437,10 @@ class Engine:
         focal_array = np.asarray(focal, dtype=float)
         with self._lock:
             if pruned is None:
-                pruned = self._prune and int(k) <= self.k_max
+                pruned = self._prunes(k)
             return any(
-                self._is_affected(focal_array, int(k), bool(pruned), delta, inserted)
-                for delta, inserted in pairs
+                self._is_affected(focal_array, int(k), bool(pruned), delta)
+                for delta, _ in pairs
             )
 
     def _notify_live(self, pairs: "tuple[tuple[SkybandDelta, bool], ...]") -> None:
@@ -1598,10 +1465,10 @@ class Engine:
 
         The invalidation predicate is the union of the per-update rules
         1–4 verdicts; each delta carries its sequential point-in-time
-        evidence (values, post-update counts, boundary crossers), so the
-        union invalidates exactly what applying the updates one at a time
-        would — the coalesced-equals-sequential property the live tier's
-        differential suite enforces.
+        evidence (values and dominator count), so the union invalidates
+        exactly what applying the updates one at a time would — the
+        coalesced-equals-sequential property the live tier's differential
+        suite enforces.
         """
         # Stamp the engine's monotone id allocator onto the snapshot: after a
         # delete of the max-id record the surviving ids alone would re-derive
@@ -1613,21 +1480,17 @@ class Engine:
 
         def damaged(entry) -> bool:
             return any(
-                self._is_affected(entry.focal, entry.k, entry.pruned, delta, inserted)
-                for delta, inserted in pairs
+                self._is_affected(entry.focal, entry.k, entry.pruned, delta)
+                for delta, _ in pairs
             )
 
-        retained, dropped = self._result_cache.apply_update(new_fingerprint, damaged)
-        self.stats.entries_invalidated += dropped
-        self.stats.entries_retained += retained
-
+        self._result_cache.apply_update(new_fingerprint, damaged)
         # Paused streams follow the same rules 1-4: an update that provably
         # cannot change an entry's answer cannot change its (pruned)
         # competitor input either, so the suspended computation stays exactly
         # the one a cold re-run would perform and the checkpoint is re-keyed;
         # affected checkpoints are closed and dropped.
-        _, partials_dropped = self._partials.apply_update(new_fingerprint, damaged)
-        self.stats.partials_invalidated += partials_dropped
+        self._partials.apply_update(new_fingerprint, damaged)
 
         stale = [pkey for pkey, entry in self._prepared.items() if damaged(entry)]
         for pkey in stale:
@@ -1640,7 +1503,6 @@ class Engine:
         k: int,
         pruned: bool,
         delta: SkybandDelta,
-        inserted: bool,
     ) -> bool:
         """Could the updated record change the answer for ``(focal, k)``?
 
@@ -1651,24 +1513,6 @@ class Engine:
             return False  # dominated by (or equal to) the focal record
         if dominates(record, focal):
             return True  # shifts the dominator count D
-        if not pruned or delta.count < k:
-            return True  # part of the entry's competitor input
-        # Out-of-band competitor: check for k-skyband boundary crossers among
-        # the records it dominates.  ``changed_counts`` are post-update, so a
-        # crosser sits exactly at k (insert) or k - 1 (delete).
-        threshold = k if inserted else k - 1
-        crossing = delta.changed_counts == threshold
-        if not np.any(crossing):
-            return False
-        positions = []
-        for rid in delta.changed_ids[crossing]:
-            if int(rid) not in self._skyband:
-                # A boundary crosser that is no longer live — deleted later
-                # in the same batch, so its side of the crossing cannot be
-                # re-examined here.  Invalidate conservatively: never wrong,
-                # at worst one spare recompute.
-                return True
-            positions.append(self._skyband.position_of(int(rid)))
-        rows = self._skyband.values_at(np.asarray(positions, dtype=int))
-        # A crosser matters only if it is itself a competitor of this focal.
-        return bool(np.any(~np.all(rows <= focal[None, :], axis=1)))
+        # Part of the entry's competitor input unless it lies outside the
+        # pruned k-skyband (rule 4, which no other record can cross).
+        return not pruned or delta.count < k

@@ -162,7 +162,7 @@ def k_skyband(tree: AggregateRTree, k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SkybandDelta:
-    """What changed in a :class:`SkybandIndex` after one insert or delete.
+    """The record one :class:`SkybandIndex` insert or delete updated.
 
     Attributes
     ----------
@@ -174,20 +174,12 @@ class SkybandDelta:
         Its attribute vector.
     count:
         Its own dominator count (at insertion time, or just before deletion).
-    changed_ids:
-        Identifiers of the *other* live records whose dominator count changed
-        (every record dominated by the updated one), aligned with
-        ``changed_counts``.
-    changed_counts:
-        The new dominator counts of those records.
     """
 
     position: int
     record_id: int
     values: np.ndarray
     count: int
-    changed_ids: np.ndarray
-    changed_counts: np.ndarray
 
 
 class SkybandIndex:
@@ -283,7 +275,7 @@ class SkybandIndex:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.dimensionality,):
             raise InvalidDatasetError("inserted record dimensionality does not match")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidDatasetError("inserted record values must be finite")
         record_id = int(record_id)
         if record_id in self._position_by_id:
@@ -293,12 +285,12 @@ class SkybandIndex:
 
         live = self.active_positions()
         rows = self._values[live]
-        dominated_mask = np.all(values[None, :] >= rows, axis=1) & np.any(
-            values[None, :] > rows, axis=1
-        )
-        dominator_mask = np.all(rows >= values[None, :], axis=1) & np.any(
-            rows > values[None, :], axis=1
-        )
+        # For finite values ``a >= b`` is ``not a < b``, so two comparisons
+        # give both dominance masks.
+        above = (values > rows).any(axis=1)
+        below = (values < rows).any(axis=1)
+        dominated_mask = above & ~below
+        dominator_mask = below & ~above
         changed = live[dominated_mask]
         self._counts[changed] += 1
 
@@ -313,8 +305,6 @@ class SkybandIndex:
             record_id=record_id,
             values=values.copy(),
             count=int(self._counts[position]),
-            changed_ids=self._ids[changed].copy(),
-            changed_counts=self._counts[changed].copy(),
         )
 
     def delete(self, record_id: int) -> SkybandDelta:
@@ -339,8 +329,6 @@ class SkybandIndex:
             record_id=record_id,
             values=values,
             count=count,
-            changed_ids=self._ids[changed].copy(),
-            changed_counts=self._counts[changed].copy(),
         )
 
     def snapshot(self, name: str = "dataset", id_high_watermark: int | None = None) -> Dataset:

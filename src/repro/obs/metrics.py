@@ -1,7 +1,7 @@
 """Unified metrics registry — one canonical name per number.
 
 Before this module the same quantity appeared under several spellings:
-``EngineStats.cache_hits``, ``ResultCache.info()["hits"]`` and
+the engine's former ``stats.cache_hits``, ``ResultCache.info()["hits"]`` and
 ``MeasuredRun.metrics["response_seconds"]`` all travelled on private dicts
 with no shared schema.  The :class:`MetricsRegistry` gives every counter a
 single dotted canonical name (``engine.cache.hits``,
@@ -20,7 +20,7 @@ hot paths call :func:`active_registry` and skip all work when it returns
 read per LP probe.
 
 :data:`LEGACY_ALIASES` maps every pre-existing spelling from
-``EngineStats``/cache dicts/``MeasuredRun`` to its canonical name, and
+the former engine stats/cache dicts/``MeasuredRun`` to its canonical name, and
 :func:`stats_to_registry` lifts a :class:`~repro.core.result.QueryStats`
 into canonical form — this is what makes ``MeasuredRun`` a *view* over the
 registry rather than a fourth naming scheme.
@@ -77,11 +77,11 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
     0.00025 * 2.0 ** exponent for exponent in range(16)
 ) + (math.inf,)
 
-#: Every legacy spelling -> its canonical dotted name.  ``EngineStats``
-#: fields, ``ResultCache.info()`` / ``PartialStore.info()`` keys and
+#: Every legacy spelling -> its canonical dotted name.  The former engine
+#: stats fields, ``ResultCache.info()`` / ``PartialStore.info()`` keys and
 #: ``MeasuredRun`` metric keys all resolve here.
 LEGACY_ALIASES: dict[str, str] = {
-    # EngineStats fields.
+    # Former engine stats fields.
     "queries": "engine.queries",
     "cache_hits": "engine.result_cache.hits",
     "cold_queries": "engine.queries.cold",

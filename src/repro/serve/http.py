@@ -202,7 +202,10 @@ class ServeServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not declared.isdecimal():  # junk or negative: answer, never drop
+            raise _HTTPError(400, error_payload("bad_request", "malformed Content-Length"))
+        length = int(declared)
         if length > _MAX_BODY:
             raise _HTTPError(413, error_payload("bad_request", "request body too large"))
         body = await reader.readexactly(length) if length else b""

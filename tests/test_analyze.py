@@ -504,7 +504,7 @@ class TestCatalogueConsistency:
 
         from repro.data import independent_dataset
         from repro.engine import Engine
-        from repro.obs.names import ALL_METRIC_NAMES, DYNAMIC_METRIC_PREFIXES
+        from repro.obs.names import ENGINE_METRIC_NAMES
 
         dataset = independent_dataset(40, 3, seed=5)
         engine = Engine(dataset)
@@ -513,12 +513,12 @@ class TestCatalogueConsistency:
         registered = {
             instrument.name for instrument in engine.metrics_registry().instruments()
         }
-        stray = {
-            name for name in registered
-            if name not in ALL_METRIC_NAMES
-            and not any(name.startswith(p) for p in DYNAMIC_METRIC_PREFIXES)
-        }
-        assert not stray, f"registry names missing from the catalogue: {sorted(stray)}"
+        # Equality, not a subset: a dropped engine counter fails here too.
+        assert registered == set(ENGINE_METRIC_NAMES), (
+            f"stray: {sorted(registered - set(ENGINE_METRIC_NAMES))}, "
+            f"missing: {sorted(set(ENGINE_METRIC_NAMES) - registered)}"
+        )
+        assert len(ENGINE_METRIC_NAMES) == 29
 
     def test_query_stats_registry_names_are_catalogued(self):
         import numpy as np

@@ -480,13 +480,14 @@ class TestIntegration:
         via_approx = engine.query(focal, 3, approx={"epsilon": 0.05, "seed": 7, "samples": 500})
         via_method = engine.query(focal, 3, method="sample", epsilon=0.05, seed=7, samples=500)
         assert via_method is via_approx
-        assert engine.stats.cold_queries == 1 and engine.stats.cache_hits == 1
+        metrics = engine.metrics()
+        assert metrics["engine.queries.cold"] == 1 and metrics["engine.result_cache.hits"] == 1
         # Answer-neutral options never split the key either.
         assert engine.query(focal, 3, method="sample", epsilon=0.05, seed=7,
                             samples=500, warn=False) is via_approx
         assert engine.query(focal, 3, method="sample", epsilon=0.05, seed=7,
                             samples=500, max_samples=None) is via_approx
-        assert engine.stats.cold_queries == 1
+        assert engine.metrics()["engine.queries.cold"] == 1
 
     def test_sampling_prepared_state_skips_the_rtree_build(self):
         # The sampler never reads the competitor R-tree; the engine must not

@@ -77,10 +77,10 @@ class TestEngineCorrectness:
         engine = Engine(serving_dataset)
         focal = focals[0]
         engine.query(focal, 3)
-        builds_before = engine.stats.prepared_builds
+        builds_before = engine.metrics()["engine.prepared.builds"]
         engine.query(focal, 3, bounds_mode="group")  # different cache key
-        assert engine.stats.prepared_builds == builds_before
-        assert engine.stats.prepared_reuses >= 1
+        assert engine.metrics()["engine.prepared.builds"] == builds_before
+        assert engine.metrics()["engine.prepared.reuses"] >= 1
 
     def test_query_validation(self, serving_dataset):
         engine = Engine(serving_dataset)
@@ -146,6 +146,17 @@ class TestEngineUpdates:
         engine.delete(record_id)
         with pytest.raises(InvalidDatasetError):
             engine.insert([0.4, 0.4, 0.4], record_id=record_id)
+
+    def test_delete_of_an_id_that_is_not_live_is_rejected(self, serving_dataset):
+        engine = Engine(serving_dataset)
+        record_id = engine.insert([0.5, 0.5, 0.5])
+        engine.delete(record_id)
+        fingerprint = engine.fingerprint
+        for dead_or_unknown in (record_id, engine.dataset.next_record_id() + 5):
+            with pytest.raises(InvalidDatasetError, match="not live"):
+                engine.delete(dead_or_unknown)
+        assert engine.fingerprint == fingerprint
+        assert engine.metrics()["engine.updates.deletes"] == 1
 
     def test_skyband_ids_track_updates(self, serving_dataset):
         engine = Engine(serving_dataset)

@@ -63,16 +63,16 @@ class TestServedResults:
         cold = cached_engine.query(focal, 3)
         hot = cached_engine.query(focal, 3)
         assert hot is cold  # byte-identical by construction
-        info = cached_engine.cache_info()
-        assert info["hits"] == 1
-        assert info["size"] == 1
+        metrics = cached_engine.metrics()
+        assert metrics["engine.result_cache.hits"] == 1
+        assert metrics["engine.result_cache.entries"] == 1
 
     def test_different_options_are_distinct_entries(self, cached_engine):
         focal = cached_engine.dataset.values[4] * 0.98
         with_geometry = cached_engine.query(focal, 3)
         without_geometry = cached_engine.query(focal, 3, finalize_geometry=False)
         assert with_geometry is not without_geometry
-        assert cached_engine.cache_info()["size"] == 2
+        assert cached_engine.metrics()["engine.result_cache.entries"] == 2
 
     def test_served_result_matches_cold_recomputation(
         self, cached_engine, results_identical
@@ -106,7 +106,7 @@ class TestPreciseInvalidation:
         cached = engine.query(high_focal, 2)
         engine.insert([0.40, 0.40])
         assert engine.query(high_focal, 2) is cached
-        assert engine.stats.entries_retained >= 1
+        assert engine.metrics()["engine.result_cache.retained"] >= 1
 
     def test_insert_competitor_drops_entry_and_recomputes_correctly(
         self, engine, results_identical
@@ -127,9 +127,9 @@ class TestPreciseInvalidation:
         engine.insert([0.80, 0.75])
         assert engine.query(high_focal, 2) is high_cached
         assert engine.query(low_focal, 2) is not low_cached
-        info = engine.cache_info()
-        assert info["invalidated"] == 1
-        assert info["rekeyed"] >= 1
+        metrics = engine.metrics()
+        assert metrics["engine.result_cache.invalidated"] == 1
+        assert metrics["engine.result_cache.rekeyed"] >= 1
 
     def test_delete_of_irrelevant_record_keeps_entry(self, engine):
         high_focal = np.array([0.95, 0.95])
@@ -169,6 +169,11 @@ class TestPreciseInvalidation:
         assert engine.query(focal, 1) is cached
         naive = kspr(engine.dataset, focal, 1)
         assert abs(cached.total_volume() - naive.total_volume()) < 1e-9
+        # An unpruned entry reads every competitor, in band or not: dropped.
+        unpruned = Engine(Dataset(values), k_max=4, prune_skyband=False)
+        unpruned_cached = unpruned.query(focal, 1)
+        unpruned.insert([0.50, 0.40])
+        assert unpruned.query(focal, 1) is not unpruned_cached
 
     def test_out_of_band_delete_keeps_pruned_entry_and_stays_correct(self):
         values = np.array(
@@ -236,68 +241,83 @@ class TestPreciseInvalidation:
         assert refreshed is not cached
         assert abs(refreshed.total_volume() - cached.total_volume()) < 1e-12
 
+    def test_insert_equal_to_focal_keeps_entry_and_stays_correct(self, engine):
+        # Rule 1 covers ties: a copy of the focal record never outscores it.
+        focal = np.array([0.25, 0.85])
+        cached = engine.query(focal, 2)
+        engine.insert(focal.copy())
+        assert engine.query(focal, 2) is cached
+        naive = kspr(engine.dataset, focal, 2)
+        assert abs(cached.total_volume() - naive.total_volume()) < 1e-9
 
-class TestBoundaryCrossingSafetyNet:
-    """White-box coverage of ``Engine._is_affected`` rule 4's crossing check.
 
-    For an out-of-band update the rule hunts for *other* competitors whose
-    dominator count crossed the k-skyband boundary.  Dominance transitivity
-    makes an organic crossing provably impossible (see the engine module
-    docstring), so the branch is exercised directly with synthetic
-    :class:`~repro.index.skyline.SkybandDelta` objects — it is the safety net
-    that keeps cached answers sound should that invariant ever be violated.
+class TestUpdateAffectsRules:
+    """``Engine.update_affects`` applies rules 1–4, one case per rule.
+
+    The deltas are built by hand so each case sits exactly on the rule it
+    names; :class:`TestPreciseInvalidation` checks the same verdicts end to
+    end through real inserts and deletes.
     """
 
     K = 2
+    FOCAL = np.array([0.20, 0.90])
 
     @pytest.fixture
     def engine(self) -> Engine:
-        values = np.array(
-            [
-                [0.90, 0.80],  # id 0: competitor of the focal record below
-                [0.10, 0.05],  # id 1: dominated by the focal record
-                [0.95, 0.97],  # id 2: dominates the focal record
-            ]
-        )
+        values = np.array([[0.90, 0.80], [0.10, 0.05], [0.95, 0.97]])
         return Engine(Dataset(values), k_max=4)
 
-    #: An out-of-band competitor update: neither comparable to the focal
-    #: record below, with >= k dominators (rule 4 territory).
-    FOCAL = np.array([0.20, 0.90])
-
-    def _delta(self, engine: Engine, changed_id: int, changed_count: int) -> SkybandDelta:
+    @staticmethod
+    def _delta(values, count: int) -> SkybandDelta:
         return SkybandDelta(
-            position=engine._skyband.position_of(changed_id),
-            record_id=999,
-            values=np.array([0.30, 0.20]),  # competitor of FOCAL
-            count=self.K,  # exactly at the boundary: out of the k=2 band
-            changed_ids=np.array([changed_id]),
-            changed_counts=np.array([changed_count]),
+            position=0, record_id=999, values=np.array(values, dtype=float), count=count
         )
 
-    def test_competitor_crossing_on_insert_drops_entry(self, engine):
-        delta = self._delta(engine, changed_id=0, changed_count=self.K)
-        assert engine._is_affected(self.FOCAL, self.K, True, delta, inserted=True)
+    def _affects(self, engine, delta, *, pruned: bool | None = True, k: int = K) -> bool:
+        return any(
+            engine.update_affects(self.FOCAL, k, [(delta, inserted)], pruned=pruned)
+            for inserted in (True, False)
+        )
 
-    def test_competitor_crossing_on_delete_drops_entry(self, engine):
-        delta = self._delta(engine, changed_id=0, changed_count=self.K - 1)
-        assert engine._is_affected(self.FOCAL, self.K, True, delta, inserted=False)
+    def test_record_dominated_by_or_equal_to_focal_never_affects(self, engine):
+        for values in ([0.10, 0.05], [0.20, 0.90], [0.20, 0.10]):
+            for pruned in (True, False):
+                delta = self._delta(values, count=0)
+                assert not self._affects(engine, delta, pruned=pruned)
 
-    def test_crossing_by_focal_dominated_record_is_irrelevant(self, engine):
-        # Record 1 crosses the boundary but is dominated by the focal record:
-        # it can never enter the entry's competitor input.
-        delta = self._delta(engine, changed_id=1, changed_count=self.K)
-        assert not engine._is_affected(self.FOCAL, self.K, True, delta, inserted=True)
+    def test_dominator_of_focal_always_affects(self, engine):
+        # Rule 2 holds whatever the record's own count, in band or not.
+        for count in (0, self.K, self.K + 3):
+            assert self._affects(engine, self._delta([0.95, 0.97], count))
 
-    def test_no_crossing_keeps_entry(self, engine):
-        # Count moved, but not across the k boundary.
-        delta = self._delta(engine, changed_id=0, changed_count=self.K + 3)
-        assert not engine._is_affected(self.FOCAL, self.K, True, delta, inserted=True)
+    def test_in_band_competitor_affects_pruned_entry(self, engine):
+        for count in range(self.K):
+            assert self._affects(engine, self._delta([0.30, 0.20], count))
 
-    def test_unpruned_entries_never_reach_the_crossing_check(self, engine):
-        delta = self._delta(engine, changed_id=0, changed_count=self.K + 3)
-        # An unpruned entry depends on the full competitor set: always dropped.
-        assert engine._is_affected(self.FOCAL, self.K, False, delta, inserted=True)
+    def test_out_of_band_competitor_keeps_pruned_entry(self, engine):
+        for count in (self.K, self.K + 3):
+            assert not self._affects(engine, self._delta([0.30, 0.20], count))
+
+    def test_unpruned_entry_is_affected_by_any_competitor(self, engine):
+        # An unpruned entry reads every competitor, so rule 4 never applies.
+        for count in (0, self.K, self.K + 3):
+            delta = self._delta([0.30, 0.20], count)
+            assert self._affects(engine, delta, pruned=False)
+
+    def test_pruned_defaults_to_the_engines_own_slice_choice(self, engine):
+        out_of_band = [(self._delta([0.30, 0.20], self.K + 3), True)]
+        assert not engine.update_affects(self.FOCAL, self.K, out_of_band)
+        # k above k_max runs unpruned, and so does an engine built without pruning.
+        assert engine.update_affects(self.FOCAL, engine.k_max + 1, out_of_band)
+        unpruned = Engine(engine.dataset, k_max=4, prune_skyband=False)
+        assert unpruned.update_affects(self.FOCAL, self.K, out_of_band)
+
+    def test_a_batch_affects_when_any_one_update_does(self, engine):
+        irrelevant = (self._delta([0.10, 0.05], 0), True)
+        dominator = (self._delta([0.95, 0.97], 0), False)
+        assert not engine.update_affects(self.FOCAL, self.K, [])
+        assert not engine.update_affects(self.FOCAL, self.K, [irrelevant])
+        assert engine.update_affects(self.FOCAL, self.K, [irrelevant, dominator])
 
 
 class _ClosableQuery:

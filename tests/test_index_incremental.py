@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Dataset
 from repro.data import independent_dataset
 from repro.exceptions import InvalidDatasetError
-from repro.index.dominance import dominated_counts
+from repro.index.dominance import dominated_counts, dominates
 from repro.index.rtree import AggregateRTree
 from repro.index.skyline import (
     SkybandIndex,
@@ -156,12 +158,13 @@ class TestSkybandIndex:
     def test_delta_reports_changed_records(self):
         values = np.array([[0.5, 0.5], [0.2, 0.2], [0.8, 0.1]])
         index = SkybandIndex(Dataset(values))
+        assert index.counts_by_id() == {0: 0, 1: 1, 2: 0}
         delta = index.insert(np.array([0.6, 0.6]), 3)
         # The new record dominates records 0 and 1 but not 2.
-        assert set(int(rid) for rid in delta.changed_ids) == {0, 1}
-        assert delta.count == 0
+        assert index.counts_by_id() == {0: 1, 1: 2, 2: 0, 3: 0}
+        assert (delta.record_id, delta.count) == (3, 0)
         removal = index.delete(3)
-        assert set(int(rid) for rid in removal.changed_ids) == {0, 1}
+        assert (removal.record_id, removal.count) == (3, 0)
         assert index.counts_by_id() == {0: 0, 1: 1, 2: 0}
 
     def test_duplicate_or_unknown_ids_rejected(self):
@@ -184,3 +187,61 @@ class TestSkybandIndex:
             int(record_id): int(count)
             for record_id, count in zip(snapshot.ids, reference)
         }
+
+
+@st.composite
+def _tie_heavy_updates(draw):
+    """A small-integer dataset (duplicates and ties likely) plus an update script."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    row = st.lists(st.integers(min_value=0, max_value=3), min_size=d, max_size=d)
+    initial = draw(st.lists(row, min_size=1, max_size=12))
+    script = draw(
+        st.lists(
+            st.tuples(st.booleans(), row, st.integers(min_value=0, max_value=10_000)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return initial, script
+
+
+class TestRuleFourInvariant:
+    """No update moves another record across the updated record's band.
+
+    The engine keeps a pruned cache entry for ``(focal, k)`` across an
+    update of a competitor ``r`` with ``c >= k`` dominators (rule 4 in
+    :mod:`repro.engine.engine`) without looking at any other record.  That
+    is sound only because the update changes the counts of just the records
+    ``r`` dominates, and ``r``'s dominators dominate those records too: each
+    ends with at least ``c + 1`` dominators after an insert and at least
+    ``c`` after a delete, so it sits outside every k-skyband with ``k <= c``
+    on both sides of the update.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tie_heavy_updates())
+    def test_records_dominated_by_the_update_stay_out_of_its_band(self, case):
+        initial, script = case
+        index = SkybandIndex(Dataset(np.asarray(initial, dtype=float)))
+        next_id = len(initial)
+        for insert, row, pick in script:
+            before = index.counts_by_id()
+            if insert or len(before) == 1:
+                delta = index.insert(np.asarray(row, dtype=float), next_id)
+                next_id += 1
+                floor = delta.count + 1
+            else:
+                delta = index.delete(sorted(before)[pick % len(before)])
+                floor = delta.count
+            after = index.counts_by_id()
+            changed = {rid for rid in before.keys() & after.keys() if before[rid] != after[rid]}
+            snapshot = index.snapshot()
+            dominated = {
+                int(rid)
+                for rid, values in zip(snapshot.ids, snapshot.values)
+                if dominates(delta.values, values)
+            }
+            assert changed == dominated
+            assert all(after[rid] >= floor for rid in changed)
+            for k in range(1, delta.count + 1):
+                assert all((before[rid] < k) == (after[rid] < k) for rid in changed)

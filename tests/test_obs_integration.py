@@ -6,8 +6,8 @@ Asserts the cross-cutting observability contracts:
   runs and across ``workers=1`` vs ``workers=4``;
 - the LP constraint-count histogram merged from parallel shards equals the
   serial run's (fixed buckets make the merge exact);
-- :meth:`Engine.metrics` is the canonical view over the legacy accessors
-  (``stats`` / ``cache_info`` / ``prepared_info`` / ``partial_info``);
+- :meth:`Engine.metrics` reports every catalogued engine counter, with
+  pinned values after a fixed script of engine operations;
 - engine stats deltas under cache hits, prepared reuse and stream resume;
 - ``cpu_seconds`` is genuinely measured (not a copy of the wall clock).
 """
@@ -66,9 +66,9 @@ class TestProfileDeterminism:
 
     def test_profile_bypasses_result_cache(self, engine):
         engine.query(FOCAL, 5, method="cta")  # warm the cache
-        hits_before = engine.cache_info()["hits"]
+        hits_before = engine.metrics()["engine.result_cache.hits"]
         profile = engine.profile(FOCAL, 5, method="cta")
-        assert engine.cache_info()["hits"] == hits_before
+        assert engine.metrics()["engine.result_cache.hits"] == hits_before
         lookups = [s for s in profile.tracer.spans if s.name == "engine.cache.lookup"]
         assert lookups[0].attributes == {"bypassed": True, "outcome": "miss"}
 
@@ -156,25 +156,69 @@ def test_shard_merged_histogram_uses_fixed_buckets(engine_dataset):
 # canonical engine metrics
 # --------------------------------------------------------------------------- #
 class TestEngineMetrics:
-    def test_metrics_mirror_legacy_accessors(self, engine):
-        engine.query(FOCAL, 5, method="cta")
-        engine.query(FOCAL, 5, method="cta")  # cache hit
-        metrics = engine.metrics()
-        stats = engine.stats
-        cache = engine.cache_info()
-        prepared = engine.prepared_info()
-        partials = engine.partial_info()
-        assert metrics["engine.queries"] == stats.queries
-        assert metrics["engine.queries.cold"] == stats.cold_queries
-        assert metrics["engine.result_cache.hits"] == cache["hits"] == stats.cache_hits
-        assert metrics["engine.result_cache.misses"] == cache["misses"]
-        assert metrics["engine.result_cache.entries"] == cache["size"]
-        assert metrics["engine.prepared.builds"] == prepared["builds"]
-        assert metrics["engine.prepared.reuses"] == prepared["reuses"]
-        assert metrics["engine.prepared.entries"] == prepared["size"]
-        assert metrics["engine.partial_store.entries"] == partials["size"]
-        assert metrics["engine.partial_store.saved"] == partials["saves"]
-        assert metrics["engine.seconds.cold"] == stats.cold_seconds
+    #: Every non-timing engine counter after :meth:`_fixed_script`.  Pinned
+    #: from the engine that kept two counter stores, so a merge that drops,
+    #: renames or double-counts an event fails here.
+    FIXED_SCRIPT_METRICS = {
+        "engine.dataset.cardinality": 81,
+        "engine.partial_store.capacity": 32,
+        "engine.partial_store.entries": 0,
+        "engine.partial_store.evictions": 0,
+        "engine.partial_store.invalidated": 0,
+        "engine.partial_store.resumes": 1,
+        "engine.partial_store.saved": 1,
+        "engine.prepared.builds": 1,
+        "engine.prepared.capacity": 64,
+        "engine.prepared.entries": 0,
+        "engine.prepared.reuses": 1,
+        "engine.queries": 4,
+        "engine.queries.cold": 2,
+        "engine.result_cache.adopted": 1,
+        "engine.result_cache.capacity": 512,
+        "engine.result_cache.entries": 0,
+        "engine.result_cache.evictions": 0,
+        "engine.result_cache.hits": 1,
+        "engine.result_cache.insertions": 3,
+        "engine.result_cache.invalidated": 3,
+        "engine.result_cache.misses": 3,
+        "engine.result_cache.rekeyed": 6,
+        "engine.result_cache.retained": 6,
+        "engine.stream.queries": 2,
+        "engine.stream.resumes": 1,
+        "engine.updates.deletes": 2,
+        "engine.updates.inserts": 3,
+    }
+
+    @staticmethod
+    def _fixed_script() -> Engine:
+        """One of each engine operation that moves a counter."""
+        from repro import kspr
+        from repro.live import UpdateOp
+
+        engine = Engine(independent_dataset(80, 3, seed=31), k_max=8)
+        engine.query(FOCAL, 3)  # cold
+        engine.query(FOCAL, 3)  # cache hit
+        paused = list(engine.query_stream(FOCAL, 3, method="pcta", deadline=0.0))
+        assert not paused or not paused[-1].done
+        assert list(engine.query_stream(FOCAL, 3, method="pcta"))[-1].done  # resumed
+        adopt_focal = FOCAL * 0.95
+        adopted = kspr(engine.dataset, adopt_focal, 3)
+        assert engine.adopt_result(engine.fingerprint, adopt_focal, 3, None, {}, adopted)
+        record_id = engine.insert([0.1, 0.1, 0.1])  # dominated by every focal: retains all
+        engine.delete(record_id)
+        engine.apply_updates(
+            [UpdateOp.insert([0.2, 0.3, 0.1]), UpdateOp.insert([0.99, 0.99, 0.99]), UpdateOp.delete(0)]
+        )
+        return engine
+
+    def test_fixed_script_counts_every_engine_metric(self):
+        from repro.obs.names import ENGINE_METRIC_NAMES
+
+        metrics = self._fixed_script().metrics()
+        assert set(metrics) == set(ENGINE_METRIC_NAMES)
+        timings = {"engine.seconds.cold", "engine.seconds.prepare"}
+        assert {n: v for n, v in metrics.items() if n not in timings} == self.FIXED_SCRIPT_METRICS
+        assert all(metrics[name] > 0 for name in timings)
 
     def test_each_number_has_one_canonical_name(self, engine):
         engine.query(FOCAL, 5, method="cta")
@@ -189,7 +233,7 @@ class TestEngineMetrics:
         engine.query(FOCAL, 5, method="cta")
         text = registry_to_prometheus(engine.metrics_registry())
         samples = parse_prometheus(text)
-        assert samples["repro_engine_queries"] == engine.stats.queries
+        assert samples["repro_engine_queries"] == engine.metrics()["engine.queries"]
 
 
 # --------------------------------------------------------------------------- #

@@ -167,7 +167,7 @@ class TestEngineIntegration:
         engine = Engine(dataset)
         report = QueryBatch(engine, workers=2).run(specs)
         assert not report.errors
-        assert engine.stats.adopted_results == len(specs)
+        assert engine.metrics()["engine.result_cache.adopted"] == len(specs)
         # Adopted answers serve later engine queries as cache hits.
         hot = engine.query(specs[0][0], specs[0][1])
         assert hot is report.results[0]

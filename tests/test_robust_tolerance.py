@@ -311,7 +311,7 @@ class TestEngineTolerancePropagation:
         loose_answer = engine.query(focal, 2, tolerance=Tolerance().loosened(100))
         assert engine.query(focal, 2) is default_answer  # hit, same policy
         assert loose_answer is not default_answer
-        assert engine.stats.cold_queries == 2
+        assert engine.metrics()["engine.queries.cold"] == 2
 
     def test_sharded_executor_accepts_tolerance(self):
         dataset = independent_dataset(60, 3, seed=23)

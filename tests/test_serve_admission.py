@@ -21,6 +21,7 @@ Four layers, bottom-up:
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
 import numpy as np
@@ -229,7 +230,7 @@ def test_expired_deadline_rejects_at_admission_not_mid_query(small_engine):
     engine = small_engine
     service = KSPRService(engine, ServeConfig(worker_threads=2))
     focal = [float(v) for v in engine.dataset.values[0]]
-    before = engine.stats.queries
+    before = engine.metrics()["engine.queries"]
 
     async def go():
         request = parse_request(
@@ -245,7 +246,7 @@ def test_expired_deadline_rejects_at_admission_not_mid_query(small_engine):
         await service.close()
 
     asyncio.run(go())
-    assert engine.stats.queries == before, (
+    assert engine.metrics()["engine.queries"] == before, (
         "an expired deadline must be shed at admission, before any engine work"
     )
     assert service.admission.counters["rejected.deadline_expired"] == 2
@@ -261,10 +262,10 @@ def test_engine_level_absolute_deadline_truncates_into_checkpoint(small_engine):
     # The budget was dead on arrival: no work unit ran, the stream
     # checkpointed instead of serving a truncated answer as complete.
     assert all(not snapshot.done for snapshot in snapshots)
-    assert engine.partial_info()["size"] == 1
-    assert engine.stats.partials_saved == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
+    assert engine.metrics()["engine.partial_store.saved"] == 1
     final = list(engine.query_stream(focal, 2))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.stream.resumes"] == 1
 
 
 def test_stream_budget_min_combines_relative_and_absolute_deadlines():
@@ -319,6 +320,25 @@ def test_http_routing_and_error_mapping():
             await client.query({"focal": focal, "k": 2, "deadline_ms": 0})
         assert expired.value.status == 408
         assert expired.value.payload["reason"] == "deadline_expired"
+
+    run_server(ServeConfig(worker_threads=2), body)
+
+
+@pytest.mark.parametrize("declared", ["abc", "-5"])
+def test_http_bad_content_length_answers_400_and_server_keeps_serving(declared):
+    async def body(client, service, focal):
+        reader, writer = await asyncio.open_connection(client.host, client.port)
+        writer.write(
+            f"POST /v1/query HTTP/1.1\r\nContent-Length: {declared}\r\n"
+            "Connection: close\r\n\r\n".encode()
+        )
+        await writer.drain()
+        response = await reader.read()  # the server answers, then closes
+        writer.close()
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400", response
+        assert json.loads(payload)["reason"] == "bad_request"
+        assert (await client.healthz()) == {"status": "ok"}
 
     run_server(ServeConfig(worker_threads=2), body)
 

@@ -84,9 +84,9 @@ def test_identical_concurrent_answers_single_flight(case):
 
     # Engine-side deltas are exact: one approx query per client plus exactly
     # ONE exact stream execution for all of them.
-    assert engine.stats.queries == clients + 1
-    assert engine.stats.stream_queries == 1
-    assert engine.partial_info()["size"] == 0
+    assert engine.metrics()["engine.queries"] == clients + 1
+    assert engine.metrics()["engine.stream.queries"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 0
 
     # Every waiter observed the very same exact result object.
     exacts = [exact for _answer, exact in results]
@@ -127,11 +127,11 @@ def test_distinct_concurrent_streams_leave_exact_stats(case):
     for events in streams:
         assert events[-1][0] == "exact"
 
-    assert engine.stats.stream_queries == len(ks)
-    assert engine.stats.cold_queries == len(ks)
-    assert engine.stats.stream_resumes == 0
-    assert engine.partial_info()["size"] == 0
-    assert engine.cache_info()["size"] == len(ks)
+    assert engine.metrics()["engine.stream.queries"] == len(ks)
+    assert engine.metrics()["engine.queries.cold"] == len(ks)
+    assert engine.metrics()["engine.stream.resumes"] == 0
+    assert engine.metrics()["engine.partial_store.entries"] == 0
+    assert engine.metrics()["engine.result_cache.entries"] == len(ks)
     assert service.admission.active == 0
     assert counter(service, "serve.streams.total") == len(ks)
     assert counter(service, "serve.disconnects.total") == 0
@@ -156,8 +156,8 @@ def test_stream_disconnect_checkpoints_and_resumes(case):
     asyncio.run(go())
 
     # The abandoned stream checkpointed, no capacity leaked.
-    assert engine.partial_info()["size"] == 1
-    assert engine.stats.partials_saved == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
+    assert engine.metrics()["engine.partial_store.saved"] == 1
     assert service.admission.active == 0
     assert service.admission.live_checkouts() == []
     assert counter(service, "serve.disconnects.total") == 1
@@ -165,7 +165,7 @@ def test_stream_disconnect_checkpoints_and_resumes(case):
     # The checkpoint is resumable and completes identically to a cold run.
     resumed = list(engine.query_stream(focal, K))
     assert resumed[-1].done
-    assert engine.stats.stream_resumes == 1
+    assert engine.metrics()["engine.stream.resumes"] == 1
     assert_results_identical(
         resumed[-1].to_result(), Engine(dataset, k_max=8).query(focal, K)
     )
@@ -242,9 +242,9 @@ def test_disconnect_during_refinement_cancels_and_releases_budget(case):
     # checkpoint resumes to the same answer a cold engine computes.
     # (Refinements stream with capture=False, so the resume must too — a
     # capture=True caller would correctly recompute instead.)
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K, capture=False))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.stream.resumes"] == 1
     assert_results_identical(
         final.to_result(), Engine(dataset, k_max=8).query(focal, K)
     )

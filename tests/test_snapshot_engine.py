@@ -54,9 +54,9 @@ class TestWarmRestore:
 
         store = SnapshotStore(tmp_path)  # fresh handle, as after a restart
         restored = Engine.from_snapshot(store, sid)
-        hits = restored.cache_info()["hits"]
+        hits = restored.metrics()["engine.result_cache.hits"]
         served = restored.query(focal, K)
-        assert restored.cache_info()["hits"] == hits + 1, (
+        assert restored.metrics()["engine.result_cache.hits"] == hits + 1, (
             "a restored engine must serve the persisted entry as a cache hit"
         )
         assert_results_identical(result, served)
@@ -96,7 +96,7 @@ class TestRestartProcessBoundary:
         warm = engine.query(focal, K)
         # Also park a truncated stream so the child can resume it.
         paused = list(engine.query_stream(focal, K + 1, max_batches=1))
-        assert not paused[-1].done and engine.partial_info()["size"] == 1
+        assert not paused[-1].done and engine.metrics()["engine.partial_store.entries"] == 1
         sid = engine.commit(SnapshotStore(tmp_path))
 
         child = textwrap.dedent(
@@ -115,18 +115,18 @@ class TestRestartProcessBoundary:
             engine = Engine.from_snapshot(store, sid)
 
             # 1. the persisted result entry serves as a warm hit...
-            hits = engine.cache_info()["hits"]
+            hits = engine.metrics()["engine.result_cache.hits"]
             served = engine.query(focal, k)
-            assert engine.cache_info()["hits"] == hits + 1
+            assert engine.metrics()["engine.result_cache.hits"] == hits + 1
 
             # ...byte-identical to a cold recomputation in THIS process.
             cold = Engine(independent_dataset(n, d, seed=11), k_max=8)
             assert_results_identical(served, cold.query(focal, k))
 
             # 2. the persisted stream checkpoint resumes and completes.
-            assert engine.partial_info()["size"] == 1
+            assert engine.metrics()["engine.partial_store.entries"] == 1
             final = list(engine.query_stream(focal, k + 1))[-1]
-            assert final.done and engine.stats.stream_resumes == 1
+            assert final.done and engine.metrics()["engine.stream.resumes"] == 1
             assert_results_identical(final.to_result(), cold.query(focal, k + 1))
             print("ROUNDTRIP-OK")
             """
@@ -156,11 +156,11 @@ class TestStreamRestore:
         sid = engine.commit(SnapshotStore(tmp_path))
 
         restored = Engine.from_snapshot(SnapshotStore(tmp_path), sid)
-        assert restored.partial_info()["size"] == 1
+        assert restored.metrics()["engine.partial_store.entries"] == 1
         resumed = list(restored.query_stream(focal, K))
         assert resumed[-1].done
-        assert restored.stats.stream_resumes == 1
-        assert restored.partial_info()["size"] == 0
+        assert restored.metrics()["engine.stream.resumes"] == 1
+        assert restored.metrics()["engine.partial_store.entries"] == 0
         cold = Engine(dataset, k_max=8).query(focal, K)
         assert_results_identical(resumed[-1].to_result(), cold)
         # The resumed run starts past the persisted frontier instead of
@@ -175,13 +175,13 @@ class TestStreamRestore:
         sid = engine.commit(SnapshotStore(tmp_path))
 
         restored = Engine.from_snapshot(SnapshotStore(tmp_path), sid)
-        assert restored.partial_info()["size"] == 1
+        assert restored.metrics()["engine.partial_store.entries"] == 1
         # A bracket-reading caller must NOT resume the no-capture recipe —
         # the same contract a live checkpoint honours.
         final = list(restored.query_stream(focal, K))[-1]
-        assert final.done and restored.stats.stream_resumes == 0
+        assert final.done and restored.metrics()["engine.stream.resumes"] == 0
         # The dropped recipe is gone; a no-capture caller would now run cold.
-        assert restored.partial_info()["size"] == 0
+        assert restored.metrics()["engine.partial_store.entries"] == 0
 
 
 class TestDiffReplayInvalidation:
@@ -215,11 +215,12 @@ class TestDiffReplayInvalidation:
 
         restored = Engine.from_snapshot(store, before, replay_to=after)
         assert restored.fingerprint == engine.fingerprint
-        info = restored.cache_info()
-        assert info["invalidated"] == 1 and info["rekeyed"] >= 1
-        hits = info["hits"]
+        metrics = restored.metrics()
+        assert metrics["engine.result_cache.invalidated"] == 1
+        assert metrics["engine.result_cache.rekeyed"] >= 1
+        hits = metrics["engine.result_cache.hits"]
         assert_results_identical(restored.query(high_focal, 2), high_cached)
-        assert restored.cache_info()["hits"] == hits + 1, (
+        assert restored.metrics()["engine.result_cache.hits"] == hits + 1, (
             "the unaffected entry must keep serving across restore + replay"
         )
         refreshed = restored.query(low_focal, 2)
@@ -264,7 +265,7 @@ class TestDiffReplayInvalidation:
         assert store.restore_fallbacks == 1
         assert restored.committed_snapshot == forged
         # The fallback engine is cache-cold but fully correct.
-        assert restored.cache_info()["size"] == 0
+        assert restored.metrics()["engine.result_cache.entries"] == 0
 
 
 class TestIdentityAcrossRestart:
@@ -323,9 +324,9 @@ class TestServeWiring:
         # close() committed once more, with the post-query warm cache.
         assert len(store.load_result_entries(sid)) == 1
         restored = Engine.from_snapshot(SnapshotStore(tmp_path), sid)
-        hits = restored.cache_info()["hits"]
+        hits = restored.metrics()["engine.result_cache.hits"]
         restored.query(focal, K)
-        assert restored.cache_info()["hits"] == hits + 1
+        assert restored.metrics()["engine.result_cache.hits"] == hits + 1
 
     def test_commit_without_store_raises(self, case):
         dataset, _ = case

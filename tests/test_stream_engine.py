@@ -77,8 +77,8 @@ def test_completed_stream_installs_result_cache_entry(case):
     assert engine.query(focal, K) is final, (
         "a completed stream must serve subsequent query() calls as a cache hit"
     )
-    assert engine.stats.cache_hits == 1
-    assert engine.stats.stream_queries == 1
+    assert engine.metrics()["engine.result_cache.hits"] == 1
+    assert engine.metrics()["engine.stream.queries"] == 1
 
 
 def test_cached_result_streams_as_single_terminal_snapshot(case):
@@ -95,12 +95,12 @@ def test_truncated_stream_checkpoints_and_resumes_identically(case):
     engine = fresh_engine(dataset)
     first = list(engine.query_stream(focal, K, max_batches=1))
     assert len(first) == 1 and not first[0].done
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
 
     resumed = list(engine.query_stream(focal, K))
     assert resumed[-1].done
-    assert engine.stats.stream_resumes == 1
-    assert engine.partial_info()["size"] == 0
+    assert engine.metrics()["engine.stream.resumes"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 0
 
     cold = fresh_engine(dataset).query(focal, K)
     assert_results_identical(resumed[-1].to_result(), cold)
@@ -124,9 +124,9 @@ def test_abandoning_the_iterator_checkpoints_too(case):
     iterator = engine.query_stream(focal, K)
     next(iterator)
     iterator.close()
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.stream.resumes"] == 1
     assert_results_identical(final.to_result(), fresh_engine(dataset).query(focal, K))
 
 
@@ -136,7 +136,7 @@ def test_cancellation_mid_stream_is_resumable(case):
     cancel = threading.Event()
     cancel.set()
     assert list(engine.query_stream(focal, K, cancel=cancel)) == []
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     cancel.clear()
     final = list(engine.query_stream(focal, K, cancel=cancel))[-1]
     assert final.done
@@ -149,7 +149,7 @@ def test_sharded_query_stream_resumes_identically(case):
     first = list(engine.query_stream(focal, K, method="cta", workers=2, max_batches=1))
     assert first and not first[-1].done
     final = list(engine.query_stream(focal, K, method="cta", workers=2))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.stream.resumes"] == 1
     assert_results_identical(
         final.to_result(), fresh_engine(dataset).query(focal, K, method="cta")
     )
@@ -177,7 +177,7 @@ def test_deadline_zero_yields_nothing_but_checkpoints(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     assert list(engine.query_stream(focal, K, deadline=0.0)) == []
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
 
 
 def test_query_stream_validates_eagerly(case):
@@ -191,8 +191,8 @@ def test_query_stream_validates_eagerly(case):
         engine.query_stream(focal, K, max_batches=0)
     with pytest.raises(InvalidQueryError):
         engine.query_stream(focal, K, deadline=-1.0)
-    assert engine.partial_info()["size"] == 0
-    assert engine.partial_info()["saves"] == 0
+    assert engine.metrics()["engine.partial_store.entries"] == 0
+    assert engine.metrics()["engine.partial_store.saved"] == 0
 
 
 def test_capture_false_skips_frontier_but_streams_identically(case):
@@ -250,18 +250,18 @@ def test_capture_mismatch_declines_stale_checkpoint(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, capture=False, max_batches=1))
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     # The bracket-requesting caller recomputes instead of silently getting
     # frontier-less snapshots with the trivial upper bound.
     snapshots = list(engine.query_stream(focal, K))
-    assert engine.stats.stream_resumes == 0
-    assert engine.partial_info()["resumes"] == 0  # the store agrees: nothing resumed
+    assert engine.metrics()["engine.stream.resumes"] == 0
+    assert engine.metrics()["engine.partial_store.resumes"] == 0  # the store agrees: nothing resumed
     assert any(snapshot.frontier for snapshot in snapshots[:-1])
     # The cheap direction resumes: a capture=True checkpoint serves anyone.
     engine2 = fresh_engine(dataset)
     list(engine2.query_stream(focal, K, max_batches=1))
     final = list(engine2.query_stream(focal, K, capture=False))[-1]
-    assert final.done and engine2.stats.stream_resumes == 1
+    assert final.done and engine2.metrics()["engine.stream.resumes"] == 1
 
 
 def test_zero_progress_bracket_is_trivial_not_collapsed(case):
@@ -305,14 +305,14 @@ def test_full_result_discards_shadowed_checkpoint(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, max_batches=1))
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     engine.query(focal, K)  # computes and caches the full answer
-    assert engine.partial_info()["size"] == 0, (
+    assert engine.metrics()["engine.partial_store.entries"] == 0, (
         "the checkpoint is unreachable once a full result shadows its key"
     )
     # And a cache-hit stream keeps the store clean.
     snapshots = list(engine.query_stream(focal, K))
-    assert snapshots[-1].done and engine.partial_info()["size"] == 0
+    assert snapshots[-1].done and engine.metrics()["engine.partial_store.entries"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -322,13 +322,13 @@ def test_affected_update_drops_partial_checkpoint(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, max_batches=1))
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     engine.insert(dataset.values.max(axis=0) * 1.1)  # dominates the focal
-    assert engine.partial_info()["size"] == 0
-    assert engine.stats.partials_invalidated == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 0
+    assert engine.metrics()["engine.partial_store.invalidated"] == 1
     # The re-issued stream recomputes cold against the new state.
     final = list(engine.query_stream(focal, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 0
+    assert final.done and engine.metrics()["engine.stream.resumes"] == 0
     assert_results_identical(final.to_result(), fresh_engine(engine.dataset).query(focal, K))
 
 
@@ -337,9 +337,9 @@ def test_unaffected_update_keeps_partial_checkpoint_resumable(case):
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, max_batches=1))
     engine.insert(np.asarray(focal) * 0.5)  # dominated by the focal: rule 1
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.stream.resumes"] == 1
     assert_results_identical(final.to_result(), fresh_engine(engine.dataset).query(focal, K))
 
 
@@ -349,11 +349,12 @@ def test_partial_store_eviction_closes_checkpoints(case):
     list(engine.query_stream(focal, K, max_batches=1))
     other = np.asarray(focal) * 1.02
     list(engine.query_stream(other, K, max_batches=1))
-    info = engine.partial_info()
-    assert info["size"] == 1 and info["evictions"] == 1
+    metrics = engine.metrics()
+    assert metrics["engine.partial_store.entries"] == 1
+    assert metrics["engine.partial_store.evictions"] == 1
     # The evicted query recomputes from scratch; the retained one resumes.
     final = list(engine.query_stream(other, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.stream.resumes"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -414,7 +415,7 @@ def test_run_anytime_truncation_then_rerun_resumes(case):
     assert partial is not None and not partial.done
     rerun = QueryBatch(engine).run_anytime([(focal, K)])
     assert rerun.outcomes[0].completed
-    assert engine.stats.stream_resumes == 1
+    assert engine.metrics()["engine.stream.resumes"] == 1
     assert_results_identical(
         rerun.outcomes[0].result, fresh_engine(dataset).query(focal, K)
     )
