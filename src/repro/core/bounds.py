@@ -369,12 +369,18 @@ class OriginalSpaceBoundEvaluator:
         for child in node.children:
             if state.lower > k:
                 return
-            corner_low, _ = self._difference_interval(child.mbr.low, halfspaces)
+            # Only the low corner's minimum and the high corner's maximum are
+            # read: one LP per corner.
+            corner_low = minimize_linear(
+                child.mbr.low - self.focal, halfspaces, self.dimensionality, self.counters
+            ).value
             if corner_low > self.tolerance.margin(max(abs(corner_low), 1.0)):
                 state.lower += child.count
                 state.upper += child.count
                 continue
-            _, corner_high = self._difference_interval(child.mbr.high, halfspaces)
+            corner_high = maximize_linear(
+                child.mbr.high - self.focal, halfspaces, self.dimensionality, self.counters
+            ).value
             if corner_high <= -self.tolerance.margin(max(abs(corner_high), 1.0)):
                 continue
             self._visit_node(self.tree.visit(child), halfspaces, state, k)

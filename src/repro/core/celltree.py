@@ -23,6 +23,32 @@ Optimisations implemented here, matching the paper:
 * **Dominance shortcut (Section 5)** — when a record about to be inserted is
   dominated by a record contributing a negative halfspace on the node's path,
   its negative halfspace covers the node and no LP is needed.
+
+One optimisation departs from the paper, which runs an LP for every probe the
+shortcuts leave open:
+
+* **Vertex certificate** — the first time a probe of a node needs an LP, the
+  vertices of the node's closed cell (its constraint rows) are enumerated
+  once with Qhull (:func:`~repro.geometry.polytope.polytope_vertices`, seeded
+  by the cached witness).  If every vertex lies beyond the band
+  ``tolerance.margin(norm) + LP_PRIMAL_FEASIBILITY_TOL`` on the far side of
+  the hyperplane, the closed cell lies there too (it is the convex hull of
+  its vertices), so the probed open side misses the node and the LP would
+  answer "infeasible"; the probe is settled without it.  The side margin
+  alone is not enough: HiGHS may accept a point that violates a row by up to
+  its primal feasibility tolerance, and near-degenerate cells exist where it
+  then reports an interior margin the vertices do not show.  In the original
+  space every hyperplane passes through the origin, which is a vertex of
+  every cell, so the strict rule could never fire there; for a hyperplane
+  through the origin, a cell that is a cone cut by one row is tested on its
+  other vertices only, which all lie on that row.  Only "empty" answers are
+  ever replaced: they carry no witness, so every witness cache, split, cover
+  set and result is exactly what the LP would have produced, and only the
+  LP counters fall.  A node whose enumeration fails (a Qhull error, no
+  witness to seed Qhull, an empty or unbounded interval) keeps the LP for all
+  its probes, and so does every tree above
+  :data:`VERTEX_CERTIFICATE_MAX_DIMENSION`, where enumerating and testing
+  the vertices cost more than the LPs they save.
 """
 
 from __future__ import annotations
@@ -32,12 +58,27 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..exceptions import GeometryError
 from ..geometry.halfspace import Halfspace, Hyperplane
 from ..geometry.linprog import ConstraintStack, LPCounters, solve_feasibility
-from ..robust import Tolerance, resolve_tolerance
+from ..geometry.polytope import polytope_vertices
+from ..obs.metrics import active_registry
+from ..obs.names import LP_VERTEX_CERTIFICATES, LP_VERTEX_FALLBACKS
+from ..robust import LP_PRIMAL_FEASIBILITY_TOL, Tolerance, resolve_tolerance
 from .cell import CellView
 
 __all__ = ["CellTreeNode", "CellTree", "InsertionStats"]
+
+#: Largest cell dimensionality ``d'`` whose trees enumerate vertices for the
+#: certificate.  Qhull's time, and the time to test a probe against a cell's
+#: vertices, grow steeply with ``d'`` while an LP's cost barely moves.  Timed
+#: inside the tree (IND, n = 200, k = 2, on a 2-core x86 host), enumerating
+#: and testing cost about as much as the LPs the certificates replaced at
+#: ``d' = 5`` in the transformed space and half as much in the original
+#: space, but about three times as much at ``d' = 6`` for every method.  No
+#: benchmark workload runs above ``d' = 3``, so the cap is not checked end
+#: to end.
+VERTEX_CERTIFICATE_MAX_DIMENSION = 5
 
 
 @dataclass
@@ -71,6 +112,7 @@ class CellTreeNode:
         "depth",
         "bounds_checked",
         "constraints",
+        "vertices",
     )
 
     def __init__(self, parent: "CellTreeNode | None", edge: Halfspace | None) -> None:
@@ -98,6 +140,10 @@ class CellTreeNode:
         #: edge labels), shared with siblings up to the parent rows.  Freed
         #: when the node is eliminated or reported.
         self.constraints: ConstraintStack | None = None
+        #: Vertices of the closed cell bounded by :attr:`constraints`,
+        #: enumerated the first time a probe of this node needs an LP (empty
+        #: when they cannot be).  Freed together with the constraint rows.
+        self.vertices: np.ndarray | None = None
 
     #: Maximum number of cached witness points kept per node.
     MAX_WITNESSES = 12
@@ -287,6 +333,9 @@ class CellTree:
 
         # Case I: node entirely inside the positive halfspace?
         if negative_witness is None:
+            if self._certified_empty(node, negative):
+                self._add_to_cover(node, positive, accumulated - node.local_positive)
+                return
             outcome = solve_feasibility(
                 *node.constraints.probe(negative),
                 self.dimensionality,
@@ -302,6 +351,9 @@ class CellTree:
 
         # Case II: node entirely inside the negative halfspace?
         if positive_witness is None:
+            if self._certified_empty(node, positive):
+                self._add_to_cover(node, negative, accumulated - node.local_positive)
+                return
             outcome = solve_feasibility(
                 *node.constraints.probe(positive),
                 self.dimensionality,
@@ -323,6 +375,47 @@ class CellTree:
         self._insert(node.right, hyperplane, dominator_ids, accumulated)
         if self._children_inactive(node):
             self._eliminate(node)
+
+    def _certified_empty(self, node: CellTreeNode, halfspace: Halfspace) -> bool:
+        """Whether the node's vertices prove that open ``halfspace`` misses the node.
+
+        True only when the feasibility LP of this probe would answer
+        "infeasible" (module docstring); counted in the active registry's
+        ``query.lp.vertex_certificates``.  Always False above
+        :data:`VERTEX_CERTIFICATE_MAX_DIMENSION`.
+        """
+        if self.dimensionality > VERTEX_CERTIFICATE_MAX_DIMENSION:
+            return False
+        if node.vertices is None:
+            node.vertices = self._enumerate_vertices(node)
+        hyperplane = halfspace.hyperplane
+        vertices = node.vertices
+        if hyperplane.offset == 0.0:
+            vertices = _without_apex(node.constraints, vertices)
+        if not len(vertices):
+            return False
+        values = hyperplane.evaluate_many(vertices)
+        if halfspace.is_positive:
+            values = -values
+        band = self.tolerance.margin(hyperplane.norm) + LP_PRIMAL_FEASIBILITY_TOL
+        if not np.all(values > band):
+            return False
+        registry = active_registry()
+        if registry is not None:
+            registry.counter(LP_VERTEX_CERTIFICATES).inc()
+        return True
+
+    def _enumerate_vertices(self, node: CellTreeNode) -> np.ndarray:
+        """Vertices of the node's closed cell; empty when they cannot be found."""
+        try:
+            return polytope_vertices(
+                node.constraints.matrix, node.constraints.rhs, node.witness, self.tolerance
+            )
+        except GeometryError:
+            registry = active_registry()
+            if registry is not None:
+                registry.counter(LP_VERTEX_FALLBACKS).inc()
+            return np.empty((0, self.dimensionality))
 
     # ------------------------------------------------------------------ #
     # node-level operations
@@ -375,7 +468,7 @@ class CellTree:
         if node.eliminated:
             return
         node.eliminated = True
-        node.constraints = None  # no further probes reach this node
+        node.constraints = node.vertices = None  # no further probes reach this node
         self.stats.nodes_eliminated += 1
 
     def eliminate(self, node: CellTreeNode) -> None:
@@ -385,7 +478,7 @@ class CellTree:
     def report(self, node: CellTreeNode) -> None:
         """Mark a leaf as reported (removed from further processing)."""
         node.reported = True
-        node.constraints = None  # no further probes reach this node
+        node.constraints = node.vertices = None  # no further probes reach this node
 
     # ------------------------------------------------------------------ #
     # traversal
@@ -440,12 +533,32 @@ class CellTree:
         while stack:
             node = stack.pop()
             total += per_node + per_halfspace_ref * (1 + len(node.cover))
-            if node.witness is not None:
-                total += node.witness.nbytes
+            total += sum(witness.nbytes for witness in node.witnesses)
             if node.constraints is not None:
                 total += node.constraints.memory_bytes()
+            if node.vertices is not None:
+                total += node.vertices.nbytes
             if node.left is not None:
                 stack.append(node.left)
             if node.right is not None:
                 stack.append(node.right)
         return total
+
+
+def _without_apex(constraints: ConstraintStack, vertices: np.ndarray) -> np.ndarray:
+    """``vertices`` without the origin when the cell is a cone cut by one row.
+
+    When every constraint row but one passes through the origin and that one
+    row, ``a . w <= b``, has ``b > 0`` (every original-space cell: the cut is
+    the simplex's ``sum w <= 1``), the closed cell is a cone with its apex at
+    the origin, cut by that row, and every other vertex lies on ``a . w = b``.
+    A hyperplane through the origin is zero at the apex and is positive (or
+    negative) on the whole cell but the apex exactly when it is on those other
+    vertices, so the certificate tests only them.  Any other cell keeps all
+    its vertices.
+    """
+    cut = np.flatnonzero(constraints.rhs)
+    if cut.size != 1 or constraints.rhs[cut[0]] <= 0.0:
+        return vertices
+    row = int(cut[0])
+    return vertices[vertices @ constraints.matrix[row] > constraints.rhs[row] / 2.0]

@@ -7,7 +7,11 @@ that implicit representation:
 
 * :func:`cell_feasible` — does the intersection of the halfspaces (plus the
   preference-space boundary) have a non-empty interior?  This replaces
-  expensive halfspace intersection with a single LP solve.
+  expensive halfspace intersection with a single LP solve.  The CellTree
+  skips the solve when the vertices it has already enumerated for a node
+  prove the probed side empty (the vertex certificate of
+  :mod:`repro.core.celltree`); every other probe, and every witness, still
+  comes from this LP.
 * :func:`minimize_linear` / :func:`maximize_linear` — the minimum / maximum of
   a linear objective over the (closure of the) cell.  These power the
   look-ahead score bounds of Section 6.

@@ -6,6 +6,12 @@ halfspaces of each result cell to obtain its vertices.  The original system
 uses the ``qhull`` library; here the same engine is reached through
 :class:`scipy.spatial.HalfspaceIntersection` and :class:`scipy.spatial.ConvexHull`.
 
+:func:`polytope_vertices` is the package's one Qhull vertex enumeration.
+Finalisation (:func:`intersect_halfspaces`) calls it, and so does the
+CellTree, which enumerates a node's vertices once and uses them to settle
+probes whose feasibility LP would answer "empty" (see
+:mod:`repro.core.celltree`).
+
 The one-dimensional transformed space (``d = 2`` datasets) degenerates to an
 interval and is handled without Qhull.
 """
@@ -29,7 +35,7 @@ from .linprog import (
     preference_space_constraints,
 )
 
-__all__ = ["RegionGeometry", "intersect_halfspaces", "simplex_volume"]
+__all__ = ["RegionGeometry", "intersect_halfspaces", "polytope_vertices", "simplex_volume"]
 
 
 @dataclass(frozen=True)
@@ -78,24 +84,46 @@ def _constraint_rows(
     return matrix, bounds
 
 
-def _interval_geometry(
-    matrix: np.ndarray, bounds: np.ndarray, tolerance: Tolerance | float | None = None
-) -> RegionGeometry:
-    """Exact geometry when the transformed space is one-dimensional."""
-    policy = resolve_tolerance(tolerance)
-    lower, upper = -np.inf, np.inf
-    for coefficient, bound in zip(matrix[:, 0], bounds):
-        if policy.is_strictly_positive(coefficient):
-            upper = min(upper, bound / coefficient)
-        elif policy.is_strictly_negative(coefficient):
-            lower = max(lower, bound / coefficient)
-        elif policy.is_strictly_negative(bound):
-            raise GeometryError("infeasible constraint system (0 <= negative)")
-    if not np.isfinite(lower) or not np.isfinite(upper) or upper <= lower:
-        raise GeometryError("interval region is empty or unbounded")
-    vertices = np.array([[lower], [upper]])
-    midpoint = np.array([(lower + upper) / 2.0])
-    return RegionGeometry(vertices=vertices, volume=float(upper - lower), interior_point=midpoint)
+def polytope_vertices(
+    matrix: np.ndarray,
+    bounds: np.ndarray,
+    interior_point: np.ndarray | None = None,
+    tolerance: Tolerance | float | None = None,
+) -> np.ndarray:
+    """Vertices of the closed polytope ``matrix . w <= bounds``, as array rows.
+
+    For ``d' = 1`` these are the two interval endpoints, found without Qhull
+    (``interior_point`` is not used).  Otherwise Qhull's halfspace
+    intersection runs around ``interior_point``, which must lie strictly
+    inside; a degenerate vertex may then appear more than once.
+
+    Raises
+    ------
+    GeometryError
+        If the interval is empty or unbounded, Qhull has no interior point,
+        or Qhull fails.
+    """
+    if matrix.shape[1] == 1:
+        policy = resolve_tolerance(tolerance)
+        lower, upper = -np.inf, np.inf
+        for coefficient, bound in zip(matrix[:, 0], bounds):
+            if policy.is_strictly_positive(coefficient):
+                upper = min(upper, bound / coefficient)
+            elif policy.is_strictly_negative(coefficient):
+                lower = max(lower, bound / coefficient)
+            elif policy.is_strictly_negative(bound):
+                raise GeometryError("infeasible constraint system (0 <= negative)")
+        if not np.isfinite(lower) or not np.isfinite(upper) or upper <= lower:
+            raise GeometryError("interval region is empty or unbounded")
+        return np.array([[lower], [upper]])
+    if interior_point is None:
+        raise GeometryError("halfspace intersection needs a strictly interior point")
+    # scipy expects rows [a, c] meaning a . x + c <= 0, i.e. c = -rhs.
+    stacked = np.hstack([matrix, -bounds.reshape(-1, 1)])
+    try:
+        return HalfspaceIntersection(stacked, np.asarray(interior_point, dtype=float)).intersections
+    except QhullError as error:
+        raise GeometryError(f"halfspace intersection failed: {error}") from error
 
 
 def intersect_halfspaces(
@@ -129,7 +157,10 @@ def intersect_halfspaces(
     matrix, bounds = _constraint_rows(halfspaces, dimensionality, include_space_bounds)
 
     if dimensionality == 1:
-        return _interval_geometry(matrix, bounds, tolerance)
+        vertices = polytope_vertices(matrix, bounds, tolerance=tolerance)
+        lower, upper = vertices[:, 0]
+        midpoint = np.array([(lower + upper) / 2.0])
+        return RegionGeometry(vertices=vertices, volume=float(upper - lower), interior_point=midpoint)
 
     if interior_point is None:
         feasibility = cell_feasible(
@@ -144,11 +175,8 @@ def intersect_halfspaces(
         interior_point = feasibility.witness
     interior_point = np.asarray(interior_point, dtype=float)
 
-    # scipy expects rows [a, c] meaning a . x + c <= 0, i.e. c = -rhs.
-    stacked = np.hstack([matrix, -bounds.reshape(-1, 1)])
+    vertices = polytope_vertices(matrix, bounds, interior_point)
     try:
-        intersection = HalfspaceIntersection(stacked, interior_point)
-        vertices = intersection.intersections
         hull = ConvexHull(vertices)
     except QhullError as error:
         raise GeometryError(f"halfspace intersection failed: {error}") from error

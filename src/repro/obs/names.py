@@ -45,6 +45,8 @@ __all__ = [
     # query.* constants referenced directly
     "LP_CONSTRAINTS",
     "LP_FALLBACK_CALLS",
+    "LP_VERTEX_CERTIFICATES",
+    "LP_VERTEX_FALLBACKS",
     "QUERY_REGIONS",
     "QUERY_SECONDS_RESPONSE",
     "QUERY_SECONDS_CPU",
@@ -129,6 +131,12 @@ LP_CONSTRAINTS = "query.lp.constraints"
 #: LPs solved through stock ``scipy.optimize.linprog`` because scipy lacks
 #: the HiGHS binding the reused solver needs (counter).
 LP_FALLBACK_CALLS = "query.lp.fallback_calls"
+#: CellTree probes settled "empty" from the cell's vertices, each one a
+#: feasibility LP not solved (counter).
+LP_VERTEX_CERTIFICATES = "query.lp.vertex_certificates"
+#: CellTree nodes whose vertices could not be enumerated, so their probes
+#: keep the feasibility LP (counter).
+LP_VERTEX_FALLBACKS = "query.lp.vertex_fallbacks"
 #: Regions in the exact answer (counter).
 QUERY_REGIONS = "query.regions"
 #: End-to-end response seconds of one query (gauge).
@@ -144,6 +152,8 @@ QUERY_SECONDS_PHASE_PREFIX = "query.seconds.phase."
 QUERY_METRIC_NAMES: tuple[str, ...] = (
     LP_CONSTRAINTS,
     LP_FALLBACK_CALLS,
+    LP_VERTEX_CERTIFICATES,
+    LP_VERTEX_FALLBACKS,
     QUERY_REGIONS,
     QUERY_SECONDS_RESPONSE,
     QUERY_SECONDS_CPU,

@@ -20,6 +20,7 @@ from .tolerance import (
     DEFAULT_TOLERANCE,
     DIVISION_EPSILON,
     LINPROG_CHECK_TOL,
+    LP_PRIMAL_FEASIBILITY_TOL,
     NEGATIVE_SIDE,
     POSITIVE_SIDE,
     Tolerance,
@@ -41,6 +42,7 @@ __all__ = [
     "resolve_tolerance",
     "DIVISION_EPSILON",
     "LINPROG_CHECK_TOL",
+    "LP_PRIMAL_FEASIBILITY_TOL",
     "POSITIVE_SIDE",
     "NEGATIVE_SIDE",
     "BOUNDARY_SIDE",

@@ -53,6 +53,7 @@ __all__ = [
     "resolve_tolerance",
     "DIVISION_EPSILON",
     "LINPROG_CHECK_TOL",
+    "LP_PRIMAL_FEASIBILITY_TOL",
     "POSITIVE_SIDE",
     "NEGATIVE_SIDE",
     "BOUNDARY_SIDE",
@@ -76,6 +77,12 @@ DIVISION_EPSILON = 1e-9
 #: same value so its statuses match stock ``linprog``'s; like
 #: ``DIVISION_EPSILON`` it is not a comparison tolerance of this package.
 LINPROG_CHECK_TOL = 1e-9
+
+#: HiGHS's default primal feasibility tolerance, the constraint violation an
+#: LP answer may carry.  The CellTree's vertex certificate
+#: (:mod:`repro.core.celltree`) adds it to a hyperplane's side margin, so
+#: it never declares a side empty where HiGHS could still find room.
+LP_PRIMAL_FEASIBILITY_TOL = 1e-7
 
 
 @dataclass(frozen=True)

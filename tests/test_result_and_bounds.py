@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.bounds as bounds_module
 from repro import Dataset, PreferenceRegion, QueryStats, lpcta, pcta
 from repro.core.bounds import (
     BoundsMode,
+    OriginalSpaceBoundEvaluator,
     RankBounds,
     TransformedBoundEvaluator,
     cell_score_interval,
@@ -89,6 +91,49 @@ class TestRankBounds:
                 if all(h.contains(transformed) for h in view.bounding_halfspaces):
                     rank = rank_under_weights(partition.competitors, focal, weights)
                     assert bounds.lower <= rank <= bounds.upper
+
+
+class TestOriginalSpaceBounds:
+    def test_group_bound_solves_one_lp_per_corner(self, monkeypatch):
+        """A child's low corner needs only its minimum, its high corner only its maximum."""
+        dataset = independent_dataset(60, 3, seed=23)
+        focal = dataset.values[int(np.argmax(dataset.values.sum(axis=1)))] * 0.9
+        partition = dataset.partition_by_focal(focal)
+        tree = AggregateRTree(partition.competitors, fanout=4)
+        internal = [tree.root]
+        for node in internal:
+            internal.extend(child for child in node.children if not child.is_leaf)
+        assert len(internal) > 1, "the case needs internal R-tree nodes below the root"
+        children = [child for node in internal for child in node.children]
+        lows = {(child.mbr.low - focal).tobytes() for child in children}
+        highs = {(child.mbr.high - focal).tobytes() for child in children}
+        # Records need both ends of their interval; a one-record child's
+        # corners coincide with its record, so those keys are set aside.
+        records = {(values - focal).tobytes() for values in partition.competitors.values}
+
+        calls: list[tuple[str, bytes]] = []
+
+        def counted(kind, solve):
+            def wrapper(objective, *args, **kwargs):
+                calls.append((kind, np.asarray(objective, dtype=float).tobytes()))
+                return solve(objective, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds_module, "minimize_linear", counted("min", bounds_module.minimize_linear))
+        monkeypatch.setattr(bounds_module, "maximize_linear", counted("max", bounds_module.maximize_linear))
+        evaluator = OriginalSpaceBoundEvaluator(tree, focal, dimensionality=3)
+        celltree = CellTree(3, k=1000)
+        for record in list(partition.competitors)[:3]:
+            celltree.insert(Hyperplane(record.values - focal, 0.0, record.record_id))
+        for leaf in celltree.iter_active_leaves():
+            evaluator.evaluate(celltree.view(leaf), k=1000)
+
+        corner_calls = [(kind, key) for kind, key in calls if key not in records]
+        assert any(kind == "min" for kind, _ in corner_calls)
+        assert any(kind == "max" for kind, _ in corner_calls)
+        for kind, key in corner_calls:
+            assert (kind == "min" and key in lows) or (kind == "max" and key in highs), kind
 
 
 class TestExistsUnprocessedNotDominated:
