@@ -14,8 +14,8 @@ what makes invalidation precise instead of a blanket flush.
 :meth:`~repro.engine.Engine.query_stream` checkpoints its suspended
 :class:`~repro.stream.AnytimeQuery` here, and a re-issue of the same query
 warm-starts from the checkpoint instead of recomputing from scratch.  An
-update that provably cannot change an entry's answer (the exact rule of
-:meth:`Engine._is_affected`) also cannot change its pruned competitor input,
+update that provably cannot change an entry's answer (rules 1–4 of
+:mod:`repro.engine.engine`) also cannot change its pruned competitor input,
 so unaffected checkpoints stay resumable across updates; affected ones are
 closed and dropped.
 """

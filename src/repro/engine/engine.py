@@ -20,7 +20,8 @@ on every call:
 * **incremental updates** — :meth:`Engine.insert` / :meth:`Engine.delete`
   patch the dominator counts, the shared aggregate R-tree and the caches in
   place.  Cache entries are invalidated *only* when the updated record can
-  actually influence their answer; unaffected entries keep serving.
+  actually influence their answer; unaffected entries keep serving.  The
+  shared tree's only reader is :meth:`Engine.skyline`.
 
 The per-entry invalidation rule, for an entry answering ``(focal, k)`` and an
 updated record ``r``:
@@ -42,7 +43,11 @@ updated record ``r``:
    random tie-heavy update sequences.
 
 Rules 1–4 keep cached results byte-identical to what a cold re-run against
-the current dataset would produce.
+the current dataset would produce.  :meth:`Engine.apply_updates` stacks a
+batch's deltas once and gives every cached answer, paused stream and
+prepared entry one array verdict for the whole batch, equal to the union of
+the per-update verdicts; :meth:`Engine.update_affects` does the same for one
+standing query.
 
 **Approximate serving** — :meth:`Engine.query` with ``approx=`` (or
 ``method="sample"``) serves the Monte Carlo estimate of :mod:`repro.approx`
@@ -83,13 +88,14 @@ from ..core.query import resolve_method, validate_query
 from ..core.result import KSPRResult, PartialKSPRResult
 from ..exceptions import InvalidDatasetError, InvalidQueryError, ReproError, SnapshotError
 from ..geometry.halfspace import Hyperplane
+from ..index.dominance import order_masks
 from ..index.rtree import AggregateRTree
 from ..index.skyline import SkybandDelta, SkybandIndex
 from ..index.skyline import skyline as bbs_skyline
 from ..obs.metrics import MetricsRegistry, stats_to_registry, use_registry
 from ..obs.profile import QueryProfile
 from ..obs.trace import Tracer, current_tracer, use_tracer
-from ..records import Dataset, FocalPartition, dominates
+from ..records import Dataset, FocalPartition
 from ..robust import Tolerance, resolve_tolerance
 from .cache import CacheEntry, PartialEntry, PartialStore, ResultCache, options_key
 
@@ -182,6 +188,43 @@ class _BackingView:
     @property
     def dimensionality(self) -> int:
         return int(self.values.shape[1])
+
+
+@dataclass(frozen=True)
+class _BatchDeltas:
+    """One batch's skyband deltas stacked for rules 1–4 (module docstring).
+
+    ``values`` is ``(m, d)``: the updated records in application order;
+    ``counts`` is ``(m,)``: each one's own dominator count at its point in
+    the batch.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: "Sequence[tuple[SkybandDelta, bool]]") -> "_BatchDeltas":
+        deltas = [delta for delta, _ in pairs]
+        return cls(
+            np.array([delta.values for delta in deltas], dtype=float),
+            np.array([delta.count for delta in deltas], dtype=np.int64),
+        )
+
+    def affects(self, focals: np.ndarray, ks, pruned) -> np.ndarray:
+        """Could any update change the answer for each ``(focal, k, pruned)``?
+
+        ``focals`` is one ``(d,)`` focal (a scalar verdict) or an ``(E, d)``
+        block with ``(E,)`` ``ks`` and ``pruned`` (an ``(E,)`` verdict).  Per
+        update: rule 1 spares an entry whose focal is ``>=`` the record
+        everywhere; otherwise rule 2 (the record dominates the focal) and,
+        for a competitor, rule 3 (``count < k``) or an unpruned entry drop
+        it; rule 4 keeps it.
+        """
+        at_most, at_least = order_masks(self.values, focals)
+        ks = np.asarray(ks)[..., None]
+        unpruned = ~np.asarray(pruned, dtype=bool)[..., None]
+        hits = ~at_most & (at_least | unpruned | (self.counts < ks))
+        return hits.any(axis=-1)
 
 
 class Engine:
@@ -1291,18 +1334,20 @@ class Engine:
         """
         from ..live.updates import AppliedBatch, UpdateBatch, UpdateOp  # local: engine <-> live
 
-        batch = UpdateBatch.coerce(updates)
+        # Read the ops once: the builder is not under the engine lock, so a
+        # second read could apply ops that were never validated.
+        ops = UpdateBatch.coerce(updates).ops
         with self._lock:
             base_fingerprint = self._snapshot.fingerprint()
-            if not len(batch):
+            if not ops:
                 return AppliedBatch(
                     ops=(), pairs=(), base_fingerprint=base_fingerprint,
                     fingerprint=base_fingerprint, seq=self._update_seq,
                 )
-            self._validate_batch(batch)
+            self._validate_batch(ops)
             pairs: list[tuple[SkybandDelta, bool]] = []
             assigned: list[UpdateOp] = []
-            for op in batch.ops:
+            for op in ops:
                 if op.op == "insert":
                     rid = self._next_id if op.record_id is None else int(op.record_id)
                     delta = self._skyband.insert(np.asarray(op.values, dtype=float), rid)
@@ -1320,7 +1365,7 @@ class Engine:
                     self._counters["engine.updates.deletes"] += 1
                     assigned.append(op)
             frozen = tuple(pairs)
-            self._finish_update_batch(frozen)
+            self._finish_update_batch(_BatchDeltas.of(frozen))
             applied = AppliedBatch(
                 ops=tuple(assigned),
                 pairs=frozen,
@@ -1331,7 +1376,7 @@ class Engine:
         self._notify_live(frozen)
         return applied
 
-    def _validate_batch(self, batch: "UpdateBatch") -> None:
+    def _validate_batch(self, ops: "Sequence[UpdateOp]") -> None:
         """Reject the whole batch before any mutation (atomicity guard).
 
         Checks every op against the engine's used and live ids plus the
@@ -1346,7 +1391,7 @@ class Engine:
         next_id = self._next_id
         live = self._skyband.active_count
         dimensionality = self._snapshot.dimensionality
-        for op in batch.ops:
+        for op in ops:
             if op.op == "insert":
                 row = np.asarray(op.values, dtype=float)
                 if row.shape != (dimensionality,):
@@ -1438,10 +1483,9 @@ class Engine:
         with self._lock:
             if pruned is None:
                 pruned = self._prunes(k)
-            return any(
-                self._is_affected(focal_array, int(k), bool(pruned), delta)
-                for delta, _ in pairs
-            )
+            if not pairs:
+                return False
+            return bool(_BatchDeltas.of(pairs).affects(focal_array, int(k), bool(pruned)))
 
     def _notify_live(self, pairs: "tuple[tuple[SkybandDelta, bool], ...]") -> None:
         """Fan an applied batch out to the standing queries, outside the lock.
@@ -1458,17 +1502,16 @@ class Engine:
         values, ids = self._skyband.backing_arrays()
         return _BackingView(values, ids)
 
-    def _finish_update_batch(
-        self, pairs: "tuple[tuple[SkybandDelta, bool], ...]"
-    ) -> None:
+    def _finish_update_batch(self, deltas: "_BatchDeltas") -> None:
         """Refresh the snapshot once and reconcile both caches after a batch.
 
-        The invalidation predicate is the union of the per-update rules
-        1–4 verdicts; each delta carries its sequential point-in-time
-        evidence (values and dominator count), so the union invalidates
-        exactly what applying the updates one at a time would — the
-        coalesced-equals-sequential property the live tier's differential
-        suite enforces.
+        Every cached answer, paused stream and prepared entry gets one
+        rules-1–4 verdict for the whole batch (:meth:`_BatchDeltas.affects`),
+        equal to the union of the per-update verdicts.  Each delta carries
+        its sequential point-in-time evidence (values and dominator count),
+        so the union invalidates exactly what applying the updates one at a
+        time would — the coalesced-equals-sequential property the live
+        tier's differential suite enforces.
         """
         # Stamp the engine's monotone id allocator onto the snapshot: after a
         # delete of the max-id record the surviving ids alone would re-derive
@@ -1478,11 +1521,19 @@ class Engine:
         new_fingerprint = self._snapshot.fingerprint()
         self._update_seq += 1
 
+        entries = [
+            *self._result_cache.entries(), *self._partials.entries(), *self._prepared.values()
+        ]
+        focals = np.array([entry.focal for entry in entries], dtype=float)
+        verdicts = deltas.affects(
+            focals.reshape(len(entries), self.dimensionality),
+            np.array([entry.k for entry in entries], dtype=np.int64),
+            np.array([entry.pruned for entry in entries], dtype=bool),
+        )
+        damaged_ids = {id(entry) for entry, hit in zip(entries, verdicts.tolist()) if hit}
+
         def damaged(entry) -> bool:
-            return any(
-                self._is_affected(entry.focal, entry.k, entry.pruned, delta)
-                for delta, _ in pairs
-            )
+            return id(entry) in damaged_ids
 
         self._result_cache.apply_update(new_fingerprint, damaged)
         # Paused streams follow the same rules 1-4: an update that provably
@@ -1497,22 +1548,3 @@ class Engine:
             evicted = self._prepared.pop(pkey)
             self._drop_hyperplanes_if_unused(evicted)
 
-    def _is_affected(
-        self,
-        focal: np.ndarray,
-        k: int,
-        pruned: bool,
-        delta: SkybandDelta,
-    ) -> bool:
-        """Could the updated record change the answer for ``(focal, k)``?
-
-        Implements rules 1–4 from the module docstring.
-        """
-        record = delta.values
-        if np.all(record <= focal):
-            return False  # dominated by (or equal to) the focal record
-        if dominates(record, focal):
-            return True  # shifts the dominator count D
-        # Part of the entry's competitor input unless it lies outside the
-        # pruned k-skyband (rule 4, which no other record can cross).
-        return not pruned or delta.count < k

@@ -9,7 +9,8 @@ This subpackage provides:
   per-subtree record counts and node-access (simulated I/O) counters.
 * :mod:`repro.index.skyline` — branch-and-bound skyline (BBS-style), skyline
   recomputation with excluded records, and the k-skyband.
-* :mod:`repro.index.dominance` — dominance tests and the dominance graph
+* :mod:`repro.index.dominance` — dominance tests, the column-wise
+  dominance kernel every dominance scan runs on, and the dominance graph
   maintained by P-CTA.
 """
 

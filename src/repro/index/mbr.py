@@ -48,6 +48,14 @@ class MBR:
             raise GeometryError("MBR.of requires a non-empty 2-D point set")
         return cls(points.min(axis=0), points.max(axis=0))
 
+    @classmethod
+    def _unchecked(cls, low: np.ndarray, high: np.ndarray) -> "MBR":
+        """Wrap valid float corners (a min/max of valid rectangles or finite points) unchecked."""
+        mbr = object.__new__(cls)
+        object.__setattr__(mbr, "low", low)
+        object.__setattr__(mbr, "high", high)
+        return mbr
+
     @property
     def dimensionality(self) -> int:
         """Number of data attributes covered by the rectangle."""
@@ -65,7 +73,7 @@ class MBR:
 
     def union(self, other: "MBR") -> "MBR":
         """Smallest rectangle containing both rectangles."""
-        return MBR(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
+        return MBR._unchecked(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
 
     def contains_point(self, point: np.ndarray) -> bool:
         """Whether ``point`` lies inside the (closed) rectangle."""
@@ -73,6 +81,11 @@ class MBR:
         return bool(
             np.all(point >= self.low - _CORNER_SLACK) and np.all(point <= self.high + _CORNER_SLACK)
         )
+
+    @staticmethod
+    def containing(lows: np.ndarray, highs: np.ndarray, point: np.ndarray) -> np.ndarray:
+        """:meth:`contains_point` for stacked rectangles ``(lows[i], highs[i])``: a row mask."""
+        return ((point >= lows - _CORNER_SLACK) & (point <= highs + _CORNER_SLACK)).all(axis=1)
 
     def dominated_by(self, point: np.ndarray) -> bool:
         """True if ``point`` dominates the *entire* rectangle.

@@ -19,7 +19,14 @@ For serving scenarios where the dataset changes over time (see
 least-enlargement descent (splitting overflowing nodes along their longest
 MBR axis), and :meth:`AggregateRTree.delete_position` removes one, condensing
 empty nodes and shrinking MBRs / aggregate counts on the way back up.  Both
-run in O(height · fanout) instead of the O(n log n) full rebuild.
+run in O(height · fanout) instead of the O(n log n) full rebuild.  At each
+internal node the children's corners are stacked once: one array expression
+gives every child's volume and enlargement (the pick keeps the first child
+with the least enlargement, then the least volume), and one gives the
+children that contain a deleted point.  Rectangles made on this path are a
+min/max of valid rectangles or finite points, so they skip
+:class:`~repro.index.mbr.MBR` validation.  The tree comes out node for node
+as a per-child scan would build it (``tests/test_index_rtree_identity.py``).
 """
 
 from __future__ import annotations
@@ -190,11 +197,10 @@ class AggregateRTree:
         (growing the tree by one level when the root itself splits).
         """
         position = int(position)
-        values = self.dataset.values[position]
-        point = MBR(values.copy(), values.copy())
+        point = self.dataset.values[position]
         if self.root.count == 0:
             self.root = RTreeNode(
-                mbr=point,
+                mbr=MBR._unchecked(point.copy(), point.copy()),
                 count=1,
                 level=0,
                 record_positions=np.array([position], dtype=int),
@@ -220,8 +226,9 @@ class AggregateRTree:
         Raises :class:`KeyError` if the position is not in the tree.
         """
         position = int(position)
-        values = self.dataset.values[position]
-        if not self._delete_from(self.root, position, values):
+        point = self.dataset.values[position]
+        found = self.root.mbr.contains_point(point) and self._delete_from(self.root, position, point)
+        if not found:
             raise KeyError(f"record position {position} is not in the R-tree")
         while not self.root.is_leaf and len(self.root.children) == 1:
             self.root = self.root.children[0]
@@ -234,9 +241,9 @@ class AggregateRTree:
                 record_positions=np.array([], dtype=int),
             )
 
-    def _insert_into(self, node: RTreeNode, position: int, point: MBR) -> RTreeNode | None:
+    def _insert_into(self, node: RTreeNode, position: int, point: np.ndarray) -> RTreeNode | None:
         """Recursive insert; returns a freshly-split sibling of ``node`` or None."""
-        node.mbr = node.mbr.union(point)
+        node.mbr = MBR._unchecked(np.minimum(node.mbr.low, point), np.maximum(node.mbr.high, point))
         node.count += 1
         if node.is_leaf:
             node.record_positions = np.append(node.record_positions, position)
@@ -252,21 +259,22 @@ class AggregateRTree:
         return None
 
     @staticmethod
-    def _volume(mbr: MBR) -> float:
-        return float(np.prod(mbr.high - mbr.low))
+    def _child_bounds(node: RTreeNode) -> tuple[np.ndarray, np.ndarray]:
+        """The children's MBR corners stacked as two ``(children, d)`` arrays."""
+        return (
+            np.array([child.mbr.low for child in node.children]),
+            np.array([child.mbr.high for child in node.children]),
+        )
 
-    def _choose_child(self, node: RTreeNode, point: MBR) -> RTreeNode:
-        """Child whose MBR needs the least volume enlargement (ties: smaller volume)."""
-        best: RTreeNode | None = None
-        best_key: tuple[float, float] | None = None
-        for child in node.children:
-            volume = self._volume(child.mbr)
-            enlargement = self._volume(child.mbr.union(point)) - volume
-            key = (enlargement, volume)
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        assert best is not None
-        return best
+    def _choose_child(self, node: RTreeNode, point: np.ndarray) -> RTreeNode:
+        """Child whose MBR needs the least volume enlargement (ties: smaller volume, then first)."""
+        lows, highs = self._child_bounds(node)
+        volume = np.prod(highs - lows, axis=1)
+        enlargement = np.prod(np.maximum(highs, point) - np.minimum(lows, point), axis=1) - volume
+        keys = list(zip(enlargement.tolist(), volume.tolist()))
+        # ``min`` keeps the first of equal keys, and compares them exactly as
+        # a per-child scan with ``key < best`` would.
+        return node.children[min(range(len(keys)), key=keys.__getitem__)]
 
     def _split_leaf(self, node: RTreeNode) -> RTreeNode:
         """Split an overflowing leaf along the longest axis; mutates ``node`` in place."""
@@ -278,13 +286,18 @@ class AggregateRTree:
         keep, move = positions[order[:half]], positions[order[half:]]
         node.record_positions = keep
         node.count = int(keep.shape[0])
-        node.mbr = MBR.of(self.dataset.values[keep])
+        node.mbr = self._points_mbr(keep)
         return RTreeNode(
-            mbr=MBR.of(self.dataset.values[move]),
+            mbr=self._points_mbr(move),
             count=int(move.shape[0]),
             level=node.level,
             record_positions=move,
         )
+
+    def _points_mbr(self, positions: np.ndarray) -> MBR:
+        """MBR of the (finite) records at ``positions``, built without re-checking."""
+        points = self.dataset.values[positions]
+        return MBR._unchecked(points.min(axis=0), points.max(axis=0))
 
     def _split_internal(self, node: RTreeNode) -> RTreeNode:
         """Split an overflowing internal node along the longest axis of its MBR."""
@@ -311,10 +324,8 @@ class AggregateRTree:
             children=move,
         )
 
-    def _delete_from(self, node: RTreeNode, position: int, values: np.ndarray) -> bool:
-        """Recursive delete; returns True if the position was found and removed."""
-        if not node.mbr.contains_point(values):
-            return False
+    def _delete_from(self, node: RTreeNode, position: int, point: np.ndarray) -> bool:
+        """Recursive delete below a node containing ``point``; True if the position was removed."""
         if node.is_leaf:
             mask = node.record_positions != position
             if bool(np.all(mask)):
@@ -322,18 +333,20 @@ class AggregateRTree:
             node.record_positions = node.record_positions[mask]
             node.count = int(node.record_positions.shape[0])
             if node.count:
-                node.mbr = MBR.of(self.dataset.values[node.record_positions])
+                node.mbr = self._points_mbr(node.record_positions)
             return True
-        for child_index, child in enumerate(node.children):
-            if self._delete_from(child, position, values):
+        lows, highs = self._child_bounds(node)
+        for index in np.flatnonzero(MBR.containing(lows, highs, point)).tolist():
+            child = node.children[index]
+            if self._delete_from(child, position, point):
                 node.count -= 1
                 if child.count == 0:
-                    del node.children[child_index]
+                    del node.children[index]
+                    lows, highs = np.delete(lows, index, axis=0), np.delete(highs, index, axis=0)
+                else:
+                    lows[index], highs[index] = child.mbr.low, child.mbr.high
                 if node.children:
-                    mbr = node.children[0].mbr
-                    for member in node.children[1:]:
-                        mbr = mbr.union(member.mbr)
-                    node.mbr = mbr
+                    node.mbr = MBR._unchecked(lows.min(axis=0), highs.max(axis=0))
                 return True
         return False
 

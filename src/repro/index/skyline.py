@@ -15,8 +15,14 @@ For multi-query serving (:mod:`repro.engine`) the module additionally provides
 :class:`SkybandIndex`, an *incrementally maintained* dominator-count structure:
 it stores, for every live record, the exact number of records dominating it,
 and patches those counts in O(n·d) vectorised work per insertion or deletion
-instead of recomputing the O(n²) counts from scratch.  ``skyband_ids(k)``
-then answers "which records are in the k-skyband?" for any ``k`` in O(n).
+instead of recomputing the O(n²) counts from scratch.  Both the patch and the
+initial counts run on the column-wise kernel
+:func:`repro.index.dominance.order_masks`, which compares one attribute
+column at a time over the whole row store (tombstones are masked out
+afterwards, so no live-row gather is needed).  ``skyband_ids(k)`` then answers
+"which records are in the k-skyband?" for any ``k`` in O(n), and
+:meth:`SkybandIndex.snapshot` hands its live rows to a
+:class:`~repro.records.Dataset` without re-validating them.
 """
 
 from __future__ import annotations
@@ -30,89 +36,27 @@ import numpy as np
 
 from ..exceptions import InvalidDatasetError
 from ..records import Dataset
-from .dominance import dominated_counts
+from .dominance import dominated_counts, order_masks
 from .rtree import AggregateRTree, RTreeNode
 
 __all__ = ["skyline", "k_skyband", "skyband_counts", "SkybandIndex", "SkybandDelta"]
-
-
-def _dominated_by_set(point: np.ndarray, frontier: list[np.ndarray], threshold: int = 1) -> bool:
-    """True if ``point`` is dominated by at least ``threshold`` frontier points."""
-    if not frontier:
-        return False
-    members = np.vstack(frontier)
-    geq = np.all(members >= point, axis=1)
-    gt = np.any(members > point, axis=1)
-    return int(np.sum(geq & gt)) >= threshold
 
 
 def _count_dominators(point: np.ndarray, frontier: list[np.ndarray]) -> int:
     """Number of frontier points dominating ``point``."""
     if not frontier:
         return 0
-    members = np.vstack(frontier)
-    geq = np.all(members >= point, axis=1)
-    gt = np.any(members > point, axis=1)
-    return int(np.sum(geq & gt))
+    at_most, at_least = order_masks(np.vstack(frontier), point)
+    return int(np.count_nonzero(at_least & ~at_most))
 
 
-def skyline(tree: AggregateRTree, exclude_ids: Iterable[int] | None = None) -> list[int]:
-    """Record ids forming the skyline, ignoring ``exclude_ids``.
+def _best_first(tree: AggregateRTree, k: int, excluded: set[int]) -> dict[int, int]:
+    """BBS traversal: record id -> dominators, for records dominated by fewer than ``k``.
 
-    The traversal prunes nothing at the node level beyond ordering (node-level
-    pruning against the current skyline is applied through the max-corner
-    dominance test), which matches BBS behaviour: a node whose max-corner is
-    dominated by a skyline record cannot contain skyline records.
-    """
-    excluded = set(int(x) for x in exclude_ids) if exclude_ids else set()
-    dataset = tree.dataset
-    frontier_values: list[np.ndarray] = []
-    result: list[int] = []
-
-    counter = itertools.count()
-    heap: list[tuple[float, int, str, object]] = []
-
-    def push_node(node: RTreeNode) -> None:
-        heapq.heappush(heap, (-float(np.sum(node.mbr.high)), next(counter), "node", node))
-
-    def push_record(position: int) -> None:
-        heapq.heappush(
-            heap,
-            (-float(np.sum(dataset.values[position])), next(counter), "record", position),
-        )
-
-    push_node(tree.root)
-    while heap:
-        _, _, kind, payload = heapq.heappop(heap)
-        if kind == "node":
-            node: RTreeNode = tree.visit(payload)  # type: ignore[assignment]
-            if _dominated_by_set(node.mbr.high, frontier_values):
-                continue
-            if node.is_leaf:
-                for position in node.record_positions:
-                    push_record(int(position))
-            else:
-                for child in node.children:
-                    if not _dominated_by_set(child.mbr.high, frontier_values):
-                        push_node(child)
-            continue
-        position = int(payload)  # type: ignore[arg-type]
-        record_id = int(dataset.ids[position])
-        if record_id in excluded:
-            continue
-        values = dataset.values[position]
-        if _dominated_by_set(values, frontier_values):
-            continue
-        frontier_values.append(values)
-        result.append(record_id)
-    return result
-
-
-def skyband_counts(tree: AggregateRTree, k: int) -> dict[int, int]:
-    """Record id -> number of dominators, for records dominated by fewer than ``k``.
-
-    Implemented as a best-first traversal where a record or node is pruned as
-    soon as ``k`` already-accepted records dominate it.
+    Records and nodes come off a heap in descending attribute-sum order, and
+    one is pruned as soon as ``k`` already-accepted records dominate it (a
+    node through its max-corner).  Records in ``excluded`` are skipped and
+    never dominate anything.
     """
     dataset = tree.dataset
     accepted_values: list[np.ndarray] = []
@@ -146,13 +90,37 @@ def skyband_counts(tree: AggregateRTree, k: int) -> dict[int, int]:
                         push_node(child)
             continue
         position = int(payload)  # type: ignore[arg-type]
+        record_id = int(dataset.ids[position])
+        if record_id in excluded:
+            continue
         values = dataset.values[position]
         dominators = _count_dominators(values, accepted_values)
         if dominators >= k:
             continue
         accepted_values.append(values)
-        result[int(dataset.ids[position])] = dominators
+        result[record_id] = dominators
     return result
+
+
+def skyline(tree: AggregateRTree, exclude_ids: Iterable[int] | None = None) -> list[int]:
+    """Record ids forming the skyline, ignoring ``exclude_ids``.
+
+    The traversal prunes nothing at the node level beyond ordering (node-level
+    pruning against the current skyline is applied through the max-corner
+    dominance test), which matches BBS behaviour: a node whose max-corner is
+    dominated by a skyline record cannot contain skyline records.
+    """
+    excluded = set(int(x) for x in exclude_ids) if exclude_ids else set()
+    return list(_best_first(tree, 1, excluded))
+
+
+def skyband_counts(tree: AggregateRTree, k: int) -> dict[int, int]:
+    """Record id -> number of dominators, for records dominated by fewer than ``k``.
+
+    Implemented as a best-first traversal where a record or node is pruned as
+    soon as ``k`` already-accepted records dominate it.
+    """
+    return _best_first(tree, k, set())
 
 
 def k_skyband(tree: AggregateRTree, k: int) -> list[int]:
@@ -194,7 +162,9 @@ class SkybandIndex:
     def __init__(self, dataset: Dataset) -> None:
         n, d = dataset.cardinality, dataset.dimensionality
         capacity = max(8, 2 * n)
-        self._values = np.empty((capacity, d), dtype=float)
+        # Column-major, so the dominance kernel reads each attribute column
+        # contiguously.
+        self._values = np.empty((capacity, d), dtype=float, order="F")
         self._values[:n] = dataset.values
         self._ids = np.empty(capacity, dtype=np.int64)
         self._ids[:n] = dataset.ids
@@ -266,7 +236,7 @@ class SkybandIndex:
         for name in ("_values", "_ids", "_active", "_counts"):
             old = getattr(self, name)
             shape = (new_capacity,) + old.shape[1:]
-            grown = np.zeros(shape, dtype=old.dtype)
+            grown = np.zeros(shape, dtype=old.dtype, order="F")
             grown[:capacity] = old
             setattr(self, name, grown)
 
@@ -283,21 +253,14 @@ class SkybandIndex:
         self._grow()
         position = self._size
 
-        live = self.active_positions()
-        rows = self._values[live]
-        # For finite values ``a >= b`` is ``not a < b``, so two comparisons
-        # give both dominance masks.
-        above = (values > rows).any(axis=1)
-        below = (values < rows).any(axis=1)
-        dominated_mask = above & ~below
-        dominator_mask = below & ~above
-        changed = live[dominated_mask]
-        self._counts[changed] += 1
+        live = self._active[:position]
+        at_most, at_least = order_masks(self._values[:position], values)
+        self._counts[:position] += at_most & ~at_least & live
 
         self._values[position] = values
         self._ids[position] = record_id
         self._active[position] = True
-        self._counts[position] = int(np.sum(dominator_mask))
+        self._counts[position] = np.count_nonzero(at_least & ~at_most & live)
         self._size += 1
         self._position_by_id[record_id] = position
         return SkybandDelta(
@@ -317,13 +280,8 @@ class SkybandIndex:
         count = int(self._counts[position])
         self._active[position] = False
 
-        live = self.active_positions()
-        rows = self._values[live]
-        dominated_mask = np.all(values[None, :] >= rows, axis=1) & np.any(
-            values[None, :] > rows, axis=1
-        )
-        changed = live[dominated_mask]
-        self._counts[changed] -= 1
+        at_most, at_least = order_masks(self._values[: self._size], values)
+        self._counts[: self._size] -= at_most & ~at_least & self._active[: self._size]
         return SkybandDelta(
             position=position,
             record_id=record_id,
@@ -339,12 +297,12 @@ class SkybandIndex:
         delete-of-the-max-id never re-derives a lower watermark from the
         surviving ids (see :attr:`repro.records.Dataset.id_high_watermark`).
         """
-        positions = self.active_positions()
-        return Dataset(
-            self._values[positions],
-            ids=self._ids[positions],
-            name=name,
-            id_high_watermark=id_high_watermark,
+        live = self._active[: self._size]
+        return Dataset._trusted(
+            np.compress(live, self._values[: self._size], axis=0),
+            np.compress(live, self._ids[: self._size]),
+            name,
+            id_high_watermark,
         )
 
     def backing_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -147,10 +147,6 @@ class Dataset:
             raise InvalidDatasetError("dataset must have at least one attribute")
         if array.size and not np.all(np.isfinite(array)):
             raise InvalidDatasetError("dataset values must be finite")
-        array = array.copy()
-        array.setflags(write=False)
-        self._values = array
-
         if ids is None:
             id_array = np.arange(array.shape[0], dtype=np.int64)
         else:
@@ -159,11 +155,30 @@ class Dataset:
                 raise InvalidDatasetError("ids must have one entry per record")
             if len(np.unique(id_array)) != id_array.shape[0]:
                 raise InvalidDatasetError("record ids must be unique")
-        id_array = id_array.copy()
-        id_array.setflags(write=False)
-        self._ids = id_array
+        self._adopt(array.copy(), id_array.copy(), name, id_high_watermark)
+
+    @classmethod
+    def _trusted(
+        cls, values: np.ndarray, ids: np.ndarray, name: str, id_high_watermark: int | None
+    ) -> "Dataset":
+        """A dataset over fresh, valid arrays the library made: no checks, no copies.
+
+        ``values`` must be finite float ``(n, d)`` and ``ids`` unique int64,
+        both used nowhere else; only the watermark is checked.
+        """
+        dataset = cls.__new__(cls)
+        dataset._adopt(values, ids, name, id_high_watermark)
+        return dataset
+
+    def _adopt(
+        self, values: np.ndarray, ids: np.ndarray, name: str, id_high_watermark: int | None
+    ) -> None:
+        values.setflags(write=False)
+        ids.setflags(write=False)
+        self._values = values
+        self._ids = ids
         self.name = name
-        floor = int(id_array.max()) + 1 if id_array.size else 0
+        floor = int(ids.max()) + 1 if ids.size else 0
         if id_high_watermark is None:
             self._id_high_watermark = floor
         else:
@@ -323,22 +338,21 @@ class Dataset:
             raise InvalidDatasetError(
                 "focal record dimensionality does not match the dataset"
             )
-        if self.cardinality == 0:
-            return FocalPartition(self.subset(np.array([], dtype=int)), 0, 0)
-        geq = np.all(self._values >= focal, axis=1)
-        gt_any = np.any(self._values > focal, axis=1)
-        dominator_mask = geq & gt_any
-        leq = np.all(self._values <= focal, axis=1)
-        lt_any = np.any(self._values < focal, axis=1)
-        dominated_mask = leq & lt_any
-        equal_mask = np.all(self._values == focal, axis=1)
-        competitor_mask = ~(dominator_mask | dominated_mask | equal_mask)
-        competitors = self.subset(np.nonzero(competitor_mask)[0])
-        return FocalPartition(
-            competitors=competitors,
-            dominators=int(np.sum(dominator_mask)),
-            dominated=int(np.sum(dominated_mask | equal_mask)),
+        from .index.dominance import order_masks  # local: records <-> index
+
+        at_most, at_least = order_masks(self._values, focal)
+        dominators = np.count_nonzero(at_least & ~at_most)
+        # Rows equal to the focal record count as dominated.
+        dominated = np.count_nonzero(at_most)
+        competitor_mask = ~(at_most | at_least)
+        # A row subset of this dataset is finite and has unique ids already.
+        competitors = Dataset._trusted(
+            np.compress(competitor_mask, self._values, axis=0),
+            np.compress(competitor_mask, self._ids),
+            self.name,
+            self._id_high_watermark,
         )
+        return FocalPartition(competitors, int(dominators), int(dominated))
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "Dataset":
         """Return a new dataset holding only the rows at ``indices``.
