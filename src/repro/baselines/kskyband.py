@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.base import ReportedCell, build_result, prepare_context
+from ..core.base import build_result, prepare_context, report_leaves
 from ..core.result import KSPRResult
 from ..index.skyline import k_skyband
 from ..records import Dataset
@@ -47,14 +47,4 @@ def kskyband_cta(
             break
     context.stats.add_phase("insertion", time.perf_counter() - insertion_start)
 
-    reported: list[ReportedCell] = []
-    for leaf in tree.iter_active_leaves():
-        rank = leaf.rank()
-        if rank <= context.effective_k:
-            view = tree.view(leaf)
-            reported.append(
-                ReportedCell(
-                    halfspaces=view.bounding_halfspaces, rank=rank, witness=view.witness
-                )
-            )
-    return build_result(context, reported, tree, finalize_geometry)
+    return build_result(context, report_leaves(tree, context.effective_k), tree, finalize_geometry)

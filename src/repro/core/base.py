@@ -10,7 +10,12 @@ Every algorithm follows the same outer structure:
    objects (exact geometry) and collect statistics.
 
 :class:`QueryContext` carries that shared state; :func:`prepare_context` and
-:func:`build_result` implement steps 1–2 and 4.
+:func:`build_result` implement steps 1–2 and 4.  Each exact method has one
+*opener* (``open_cta``, ``open_pcta``, ...) that runs steps 1–2 and returns an
+:class:`OpenQuery`: the context, the step-3 tick stream and the finalize
+rule.  Every entry point runs an opener — :func:`drain` to completion for the
+method functions and :meth:`repro.engine.Engine.query`, or step by step in
+:class:`repro.stream.AnytimeQuery`.
 
 Steps 1–2 are exactly the work that repeats across queries sharing a dataset
 and focal record.  :class:`PreparedQuery` captures their output (the focal
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,10 +53,14 @@ __all__ = [
     "ReportedCell",
     "StreamTick",
     "PreparedQuery",
+    "Pull",
+    "OpenQuery",
     "prepare_context",
     "build_result",
     "build_region",
     "capture_frontier",
+    "report_leaves",
+    "drain",
 ]
 
 #: Identifier used for the two preference-space representations.
@@ -98,6 +107,19 @@ class StreamTick:
     tree: CellTree | None = None
 
 
+def report_leaves(tree: CellTree, k: int) -> list[ReportedCell]:
+    """The active leaves of ``tree`` ranked within ``k``: root-path halfspaces, rank, witness.
+
+    Once every hyperplane is in, these are the answer cells (their ranks are
+    exact); before that, they are the undecided frontier.
+    """
+    return [
+        ReportedCell(tuple(leaf.path_halfspaces()), rank, leaf.witness)
+        for leaf in tree.iter_active_leaves()
+        if (rank := leaf.rank()) <= k
+    ]
+
+
 def capture_frontier(tree: CellTree | None, k: int) -> tuple[FrontierCell, ...]:
     """Freeze the still-undecided cells of ``tree`` (rank within ``k``).
 
@@ -109,18 +131,9 @@ def capture_frontier(tree: CellTree | None, k: int) -> tuple[FrontierCell, ...]:
     """
     if tree is None:
         return ()
-    cells = []
-    for leaf in tree.iter_active_leaves():
-        rank = leaf.rank()
-        if rank <= k:
-            cells.append(
-                FrontierCell(
-                    halfspaces=tuple(leaf.path_halfspaces()),
-                    rank=rank,
-                    witness=leaf.witness,
-                )
-            )
-    return tuple(cells)
+    return tuple(
+        FrontierCell(cell.halfspaces, cell.rank, cell.witness) for cell in report_leaves(tree, k)
+    )
 
 
 @dataclass
@@ -360,3 +373,39 @@ def build_result(
     stats.response_seconds = time.perf_counter() - context.started_at
     stats.cpu_seconds = time.process_time() - context.cpu_started_at
     return result
+
+
+@dataclass(frozen=True)
+class Pull:
+    """How an entry point pulls an opened query's tick stream.
+
+    ``capture`` freezes the undecided frontier per tick (anytime brackets).
+    The rest shape CTA's stream only — ``workers > 1`` shards it across
+    processes, ``chunk_size`` records per tick, ``shard_factor`` shards per
+    worker (defaults when ``None``) — and other methods ignore them.
+    """
+
+    capture: bool = False
+    workers: int | None = None
+    chunk_size: int | None = None
+    shard_factor: int | None = None
+
+
+class OpenQuery(NamedTuple):
+    """An opened exact query: what an opener hands to every entry point."""
+
+    context: QueryContext
+    ticks: Iterator[StreamTick]
+    #: Whether the final result computes exact region geometry.
+    finalize_geometry: bool
+
+
+def drain(query: OpenQuery) -> KSPRResult:
+    """Run an opened query's tick stream to its end and build the result."""
+    reported: list[ReportedCell] = []
+    tree: CellTree | None = None
+    for tick in query.ticks:
+        reported.extend(tick.new_cells)
+        if tick.tree is not None:
+            tree = tick.tree
+    return build_result(query.context, reported, tree, query.finalize_geometry)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import InvalidQueryError
 from ..geometry.halfspace import Halfspace
 from ..geometry.linprog import LPCounters, maximize_linear, minimize_linear
 from ..index.rtree import AggregateRTree, RTreeNode
@@ -52,6 +53,15 @@ class BoundsMode(enum.Enum):
     RECORD = "record"
     GROUP = "group"
     FAST = "fast"
+
+    @classmethod
+    def coerce(cls, value: "BoundsMode | str") -> "BoundsMode":
+        """The mode ``value`` names, a member or its string spelling (else InvalidQueryError)."""
+        try:
+            return cls(value)
+        except ValueError:
+            modes = ", ".join(repr(mode.value) for mode in cls)
+            raise InvalidQueryError(f"unknown bounds_mode {value!r}; available: {modes}") from None
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,20 @@ from ..obs.trace import current_tracer
 from ..records import Dataset
 from ..robust import Tolerance
 from .base import (
+    TRANSFORMED_SPACE,
+    OpenQuery,
     PreparedQuery,
+    Pull,
     QueryContext,
-    ReportedCell,
     StreamTick,
-    build_result,
     capture_frontier,
+    drain,
     prepare_context,
+    report_leaves,
 )
 from .result import KSPRResult
 
-__all__ = ["cta", "cta_ticks", "DEFAULT_CHUNK_SIZE", "TRACE_EVERY_CHUNKS"]
+__all__ = ["cta", "cta_ticks", "open_cta", "DEFAULT_CHUNK_SIZE", "TRACE_EVERY_CHUNKS"]
 
 #: Default number of hyperplane insertions per streaming tick.
 DEFAULT_CHUNK_SIZE = 64
@@ -57,7 +60,7 @@ def cta_ticks(
     anytime impact bracket.  The terminal tick emits the full answer.
 
     Suspending between ticks pauses the query with no work lost; draining the
-    stream reproduces :func:`cta` byte-identically.
+    stream in any chunking reproduces :func:`cta` byte-identically.
     """
     if context.effective_k < 1:
         yield StreamTick(done=True)
@@ -104,25 +107,48 @@ def cta_ticks(
             )
 
     context.stats.add_phase("insertion", insertion_seconds)
-    reported: list[ReportedCell] = []
-    for leaf in tree.iter_active_leaves():
-        rank = leaf.rank()
-        if rank <= context.effective_k:
-            view = tree.view(leaf)
-            reported.append(
-                ReportedCell(
-                    halfspaces=view.bounding_halfspaces,
-                    rank=rank,
-                    witness=view.witness,
-                )
-            )
     yield StreamTick(
-        new_cells=reported,
+        new_cells=report_leaves(tree, context.effective_k),
         done=True,
         batches=chunks,
         processed=processed,
         tree=tree,
     )
+
+
+def open_cta(
+    dataset: Dataset,
+    focal: np.ndarray | Sequence[float],
+    k: int,
+    *,
+    space: str = TRANSFORMED_SPACE,
+    finalize_geometry: bool = True,
+    prepared: PreparedQuery | None = None,
+    tolerance: Tolerance | float | None = None,
+    pull: Pull = Pull(),
+) -> OpenQuery:
+    """Open a CTA query: its context, tick stream and finalize rule.
+
+    ``pull.workers > 1`` picks the sharded stream
+    (:func:`repro.parallel.subtree.parallel_ticks`, labelled ``CTA[workers=N]``),
+    else :func:`cta_ticks`; both report the same cells in the same order.
+    """
+    workers = int(pull.workers) if pull.workers is not None and pull.workers > 1 else None
+    context = prepare_context(
+        dataset, focal, k, algorithm="CTA" if workers is None else f"CTA[workers={workers}]",
+        space=space, prepared=prepared, tolerance=tolerance,
+    )
+    if workers is None:
+        ticks = cta_ticks(context, pull.chunk_size, capture=pull.capture)
+    else:
+        # Local import: repro.parallel imports the engine, which imports core.
+        from ..parallel.subtree import DEFAULT_SHARD_FACTOR, parallel_ticks
+
+        shard_factor = DEFAULT_SHARD_FACTOR if pull.shard_factor is None else pull.shard_factor
+        ticks = parallel_ticks(
+            context, workers=workers, shard_factor=shard_factor, capture=pull.capture
+        )
+    return OpenQuery(context, ticks, finalize_geometry)
 
 
 def cta(
@@ -155,15 +181,8 @@ def cta(
     tolerance:
         Shared numerical policy for this query (see :mod:`repro.robust`).
     """
-    context = prepare_context(
-        dataset, focal, k, algorithm="CTA", space=space, prepared=prepared,
+    opened = open_cta(
+        dataset, focal, k, space=space, finalize_geometry=finalize_geometry, prepared=prepared,
         tolerance=tolerance,
     )
-    reported: list[ReportedCell] = []
-    tree = None
-    # Drain the streaming core in one chunk: identical computation, no ticks.
-    for tick in cta_ticks(context, chunk_size=max(1, context.competitors.cardinality)):
-        reported.extend(tick.new_cells)
-        if tick.tree is not None:
-            tree = tick.tree
-    return build_result(context, reported, tree, finalize_geometry)
+    return drain(opened)

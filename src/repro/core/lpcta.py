@@ -18,12 +18,53 @@ import numpy as np
 
 from ..records import Dataset
 from ..robust import Tolerance
-from .base import PreparedQuery, prepare_context
-from .bounds import BoundsMode, TransformedBoundEvaluator
-from .progressive import run_progressive
+from .base import TRANSFORMED_SPACE, OpenQuery, PreparedQuery, Pull, drain, prepare_context
+from .bounds import BoundsMode, OriginalSpaceBoundEvaluator, TransformedBoundEvaluator
+from .progressive import progressive_ticks
 from .result import KSPRResult
 
-__all__ = ["lpcta"]
+__all__ = ["lpcta", "open_lpcta"]
+
+
+def open_lpcta(
+    dataset: Dataset,
+    focal: np.ndarray | Sequence[float],
+    k: int,
+    *,
+    space: str = TRANSFORMED_SPACE,
+    bounds_mode: BoundsMode | str = BoundsMode.FAST,
+    finalize_geometry: bool = True,
+    prepared: PreparedQuery | None = None,
+    tolerance: Tolerance | float | None = None,
+    pull: Pull = Pull(),
+) -> OpenQuery:
+    """Open an LP-CTA query (OLP-CTA in the original space, whose Appendix C
+    sign bounds take no ``bounds_mode``)."""
+    mode = BoundsMode.coerce(bounds_mode)
+    transformed = space == TRANSFORMED_SPACE
+    context = prepare_context(
+        dataset, focal, k, algorithm=f"LP-CTA[{mode.value}]" if transformed else "OLP-CTA",
+        space=space, prepared=prepared, tolerance=tolerance,
+    )
+    if transformed:
+        evaluator = TransformedBoundEvaluator(
+            tree=context.tree,
+            focal=context.focal,
+            dimensionality=context.cell_dimensionality,
+            counters=context.counters,
+            mode=mode,
+            tolerance=context.tolerance,
+        )
+    else:
+        evaluator = OriginalSpaceBoundEvaluator(
+            tree=context.tree,
+            focal=context.focal,
+            dimensionality=context.cell_dimensionality,
+            counters=context.counters,
+            tolerance=context.tolerance,
+        )
+    ticks = progressive_ticks(context, evaluator, capture=pull.capture)
+    return OpenQuery(context, ticks, finalize_geometry)
 
 
 def lpcta(
@@ -47,26 +88,8 @@ def lpcta(
         Optional :class:`~repro.core.base.PreparedQuery` with precomputed
         partition / index state (see :mod:`repro.engine`).
     """
-    if isinstance(bounds_mode, str):
-        bounds_mode = BoundsMode(bounds_mode)
-    context = prepare_context(
-        dataset,
-        focal,
-        k,
-        algorithm=f"LP-CTA[{bounds_mode.value}]",
-        prepared=prepared,
-        tolerance=tolerance,
+    opened = open_lpcta(
+        dataset, focal, k, bounds_mode=bounds_mode, finalize_geometry=finalize_geometry,
+        prepared=prepared, tolerance=tolerance,
     )
-    if context.effective_k < 1:
-        return run_progressive(context, bound_evaluator=None, finalize_geometry=finalize_geometry)
-    evaluator = TransformedBoundEvaluator(
-        tree=context.tree,
-        focal=context.focal,
-        dimensionality=context.cell_dimensionality,
-        counters=context.counters,
-        mode=bounds_mode,
-        tolerance=context.tolerance,
-    )
-    return run_progressive(
-        context, bound_evaluator=evaluator, finalize_geometry=finalize_geometry
-    )
+    return drain(opened)

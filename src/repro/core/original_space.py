@@ -23,13 +23,13 @@ import numpy as np
 
 from ..records import Dataset
 from ..robust import Tolerance
-from .base import ORIGINAL_SPACE, PreparedQuery, prepare_context
-from .bounds import OriginalSpaceBoundEvaluator
-from .cta import cta
-from .progressive import run_progressive
+from .base import ORIGINAL_SPACE, PreparedQuery, drain
+from .cta import open_cta
+from .lpcta import open_lpcta
+from .pcta import open_pcta
 from .result import KSPRResult
 
-__all__ = ["op_cta", "olp_cta"]
+__all__ = ["op_cta", "olp_cta", "o_cta"]
 
 
 def op_cta(
@@ -40,11 +40,10 @@ def op_cta(
     tolerance: Tolerance | float | None = None,
 ) -> KSPRResult:
     """P-CTA running directly in the original (non-reduced) preference space."""
-    context = prepare_context(
-        dataset, focal, k, algorithm="OP-CTA", space=ORIGINAL_SPACE, prepared=prepared,
-        tolerance=tolerance,
+    opened = open_pcta(
+        dataset, focal, k, space=ORIGINAL_SPACE, prepared=prepared, tolerance=tolerance
     )
-    return run_progressive(context, bound_evaluator=None, finalize_geometry=False)
+    return drain(opened)
 
 
 def olp_cta(
@@ -55,20 +54,10 @@ def olp_cta(
     tolerance: Tolerance | float | None = None,
 ) -> KSPRResult:
     """LP-CTA running directly in the original (non-reduced) preference space."""
-    context = prepare_context(
-        dataset, focal, k, algorithm="OLP-CTA", space=ORIGINAL_SPACE, prepared=prepared,
-        tolerance=tolerance,
+    opened = open_lpcta(
+        dataset, focal, k, space=ORIGINAL_SPACE, prepared=prepared, tolerance=tolerance
     )
-    if context.effective_k < 1:
-        return run_progressive(context, bound_evaluator=None, finalize_geometry=False)
-    evaluator = OriginalSpaceBoundEvaluator(
-        tree=context.tree,
-        focal=context.focal,
-        dimensionality=context.cell_dimensionality,
-        counters=context.counters,
-        tolerance=context.tolerance,
-    )
-    return run_progressive(context, bound_evaluator=evaluator, finalize_geometry=False)
+    return drain(opened)
 
 
 def o_cta(
@@ -78,6 +67,7 @@ def o_cta(
     tolerance: Tolerance | float | None = None,
 ) -> KSPRResult:
     """Basic CTA running directly in the original preference space."""
-    return cta(
+    opened = open_cta(
         dataset, focal, k, space=ORIGINAL_SPACE, finalize_geometry=False, tolerance=tolerance
     )
+    return drain(opened)

@@ -20,11 +20,31 @@ import numpy as np
 
 from ..records import Dataset
 from ..robust import Tolerance
-from .base import PreparedQuery, prepare_context
-from .progressive import run_progressive
+from .base import TRANSFORMED_SPACE, OpenQuery, PreparedQuery, Pull, drain, prepare_context
+from .progressive import progressive_ticks
 from .result import KSPRResult
 
-__all__ = ["pcta"]
+__all__ = ["pcta", "open_pcta"]
+
+
+def open_pcta(
+    dataset: Dataset,
+    focal: np.ndarray | Sequence[float],
+    k: int,
+    *,
+    space: str = TRANSFORMED_SPACE,
+    finalize_geometry: bool = True,
+    prepared: PreparedQuery | None = None,
+    tolerance: Tolerance | float | None = None,
+    pull: Pull = Pull(),
+) -> OpenQuery:
+    """Open a P-CTA query (OP-CTA in the original space, Appendix C)."""
+    context = prepare_context(
+        dataset, focal, k, algorithm="P-CTA" if space == TRANSFORMED_SPACE else "OP-CTA",
+        space=space, prepared=prepared, tolerance=tolerance,
+    )
+    ticks = progressive_ticks(context, None, capture=pull.capture)
+    return OpenQuery(context, ticks, finalize_geometry)
 
 
 def pcta(
@@ -41,7 +61,8 @@ def pcta(
     (see :mod:`repro.engine`); ``tolerance`` the shared numerical policy
     (see :mod:`repro.robust`).
     """
-    context = prepare_context(
-        dataset, focal, k, algorithm="P-CTA", prepared=prepared, tolerance=tolerance
+    opened = open_pcta(
+        dataset, focal, k, finalize_geometry=finalize_geometry, prepared=prepared,
+        tolerance=tolerance,
     )
-    return run_progressive(context, bound_evaluator=None, finalize_geometry=finalize_geometry)
+    return drain(opened)

@@ -20,11 +20,11 @@ has been processed (at which point surviving leaves have exact ranks).
 The loop is implemented as a *generator*, :func:`progressive_ticks`, yielding
 one :class:`~repro.core.base.StreamTick` per batch with the cells certified by
 that batch (Lemma 5 makes certification final, so they can be acted on long
-before the query ends).  :func:`run_progressive` is the all-at-once driver —
-it drains the generator and builds the complete result — while the anytime
-serving layer (:mod:`repro.stream`) pulls ticks under a deadline/budget and
-resumes the suspended generator on a later call, producing a final answer
-byte-identical to an uninterrupted run.
+before the query ends).  :func:`repro.core.base.drain` is the all-at-once
+driver — it drains the generator and builds the complete result — while the
+anytime serving layer (:mod:`repro.stream`) pulls ticks under a
+deadline/budget and resumes the suspended generator on a later call,
+producing a final answer byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -38,15 +38,12 @@ from ..index.dominance import DominanceGraph
 from ..index.rtree import AggregateRTree, RTreeNode
 from ..index.skyline import skyline
 from ..obs.trace import current_tracer
-from .base import QueryContext, ReportedCell, StreamTick, build_result, capture_frontier
+from .base import QueryContext, ReportedCell, StreamTick, capture_frontier, report_leaves
 from .bounds import RankBounds
 from .cell import CellView
-from .celltree import CellTree
-from .result import KSPRResult
 
 __all__ = [
     "BoundEvaluator",
-    "run_progressive",
     "progressive_ticks",
     "exists_unprocessed_not_dominated",
 ]
@@ -138,10 +135,8 @@ def progressive_ticks(
 
     if total_competitors == 0:
         # No competitor can ever out-score the focal record: the whole
-        # preference space is the answer.
-        root_view = tree.view(tree.root)
-        cell = ReportedCell(root_view.bounding_halfspaces, 1, root_view.witness)
-        yield StreamTick(new_cells=[cell], done=True, tree=tree)
+        # preference space (the root, rank 1) is the answer.
+        yield StreamTick(new_cells=report_leaves(tree, k), done=True, tree=tree)
         return
 
     def finish(new_cells: list[ReportedCell]) -> StreamTick:
@@ -275,21 +270,3 @@ def progressive_ticks(
 
     yield finish([])
 
-
-def run_progressive(
-    context: QueryContext,
-    bound_evaluator: BoundEvaluator | None = None,
-    finalize_geometry: bool = True,
-) -> KSPRResult:
-    """Run the progressive loop shared by P-CTA (no bounds) and LP-CTA (with bounds).
-
-    Drains :func:`progressive_ticks` to completion — the one-shot driver of
-    the same streaming core the anytime serving layer pulls incrementally.
-    """
-    reported: list[ReportedCell] = []
-    tree: CellTree | None = None
-    for tick in progressive_ticks(context, bound_evaluator):
-        reported.extend(tick.new_cells)
-        if tick.tree is not None:
-            tree = tick.tree
-    return build_result(context, reported, tree, finalize_geometry)

@@ -8,6 +8,9 @@ their exact geometry and the query statistics.
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,11 +20,11 @@ from ..approx.result import ApproxKSPRResult
 from ..exceptions import InvalidQueryError
 from ..records import Dataset
 from ..robust import validate_query_inputs
-from .bounds import BoundsMode
-from .cta import cta
-from .lpcta import lpcta
+from .base import ORIGINAL_SPACE, TRANSFORMED_SPACE, OpenQuery, PreparedQuery, Pull
+from .cta import cta, open_cta
+from .lpcta import lpcta, open_lpcta
 from .original_space import olp_cta, op_cta
-from .pcta import pcta
+from .pcta import open_pcta, pcta
 from .result import KSPRResult
 
 __all__ = [
@@ -29,19 +32,48 @@ __all__ = [
     "available_methods",
     "normalize_method",
     "resolve_method",
+    "check_options",
+    "method_space",
+    "open_query",
     "validate_query",
 ]
 
-_METHODS: dict[str, Callable[..., KSPRResult | ApproxKSPRResult]] = {
-    "cta": cta,
-    "pcta": pcta,
-    "p-cta": pcta,
-    "lpcta": lpcta,
-    "lp-cta": lpcta,
-    "op-cta": op_cta,
-    "olp-cta": olp_cta,
-    "sample": sample_kspr,
+
+@dataclass(frozen=True)
+class _Method:
+    """One row of the method table: a method function, its opener and space.
+
+    ``options`` are the method function's keywords beyond the query triple,
+    less ``prepared``, which the entry points supply.  ``space`` is fixed for
+    the original-space variants, which open like their transformed-space
+    counterparts.
+    """
+
+    run: Callable[..., KSPRResult | ApproxKSPRResult]
+    open: Callable[..., OpenQuery] | None = None
+    space: str | None = None
+
+    @cached_property
+    def options(self) -> frozenset[str]:
+        return frozenset(inspect.signature(self.run).parameters) - {
+            "dataset", "focal", "k", "prepared",
+        }
+
+
+_PCTA = _Method(pcta, open_pcta)
+_LPCTA = _Method(lpcta, open_lpcta)
+_METHODS: dict[str, _Method] = {
+    "cta": _Method(cta, open_cta),
+    "pcta": _PCTA,
+    "p-cta": _PCTA,
+    "lpcta": _LPCTA,
+    "lp-cta": _LPCTA,
+    "op-cta": _Method(op_cta, open_pcta, ORIGINAL_SPACE),
+    "olp-cta": _Method(olp_cta, open_lpcta, ORIGINAL_SPACE),
+    "sample": _Method(sample_kspr),
 }
+#: Canonical method name (the method function's name) -> table row.
+_BY_NAME = {method.run.__name__: method for method in _METHODS.values()}
 
 
 def available_methods() -> list[str]:
@@ -59,15 +91,62 @@ def normalize_method(method: str) -> str:
     return normalized
 
 
+def _row(method: str) -> _Method:
+    """The table row of a method name or alias, or of a canonical name."""
+    return _BY_NAME.get(method) or _METHODS[normalize_method(method)]
+
+
 def resolve_method(method: str) -> tuple[str, Callable[..., KSPRResult]]:
     """Resolve a method name (or alias) to ``(canonical name, callable)``.
 
     Aliases collapse to one canonical name (``"p-cta"`` and ``"pcta"`` both
     resolve to ``"pcta"``) so callers such as :class:`repro.engine.Engine`
-    can key caches without alias-induced duplicates.
+    can key caches without alias-induced duplicates; a canonical name
+    resolves to itself.
     """
-    func = _METHODS[normalize_method(method)]
+    func = _row(method).run
     return func.__name__, func
+
+
+def check_options(method: str, options: dict) -> None:
+    """Raise :class:`~repro.exceptions.InvalidQueryError` naming an option
+    ``method`` does not take, so every entry point refuses it up front."""
+    row = _row(method)
+    unknown = options.keys() - row.options
+    if unknown:
+        raise InvalidQueryError(
+            f"method {row.run.__name__!r} takes no option {min(unknown)!r}; "
+            f"it takes: {', '.join(sorted(row.options))}"
+        )
+
+
+def method_space(method: str, options: dict) -> str:
+    """The preference space a ``method`` query with ``options`` runs in."""
+    return _row(method).space or options.get("space", TRANSFORMED_SPACE)
+
+
+def open_query(
+    method: str,
+    dataset: Dataset,
+    focal: np.ndarray | Sequence[float],
+    k: int,
+    options: dict,
+    *,
+    prepared: PreparedQuery | None = None,
+    pull: Pull = Pull(),
+) -> OpenQuery:
+    """Open an exact ``method`` query with ``options`` through its opener.
+
+    The query runs in the method's space (:func:`method_space`).  Raises
+    :class:`~repro.exceptions.InvalidQueryError` for an option the method
+    does not take, and for ``"sample"``, which has no tick stream.
+    """
+    row = _row(method)
+    if row.open is None:
+        raise InvalidQueryError(f"method {row.run.__name__!r} has no streaming implementation")
+    check_options(method, options)
+    options = {**options, "space": method_space(method, options)}
+    return row.open(dataset, focal, k, prepared=prepared, pull=pull, **options)
 
 
 def validate_query(dataset: Dataset, focal: np.ndarray, k: int) -> np.ndarray:
@@ -126,9 +205,9 @@ def kspr(
     Raises
     ------
     InvalidQueryError
-        For an unknown ``method`` or malformed query inputs (``k < 1``,
-        ``k > n``, ``d = 1`` datasets, focal shape or dimensionality
-        mismatches, non-finite focal values).
+        For an unknown ``method``, an option the method does not take, or
+        malformed query inputs (``k < 1``, ``k > n``, ``d = 1`` datasets,
+        focal shape or dimensionality mismatches, non-finite focal values).
 
     Examples
     --------
@@ -142,11 +221,10 @@ def kspr(
     if not isinstance(dataset, Dataset):
         dataset = Dataset(np.asarray(dataset, dtype=float))
     focal = validate_query(dataset, focal, k)
-    normalized = normalize_method(method)
-    if normalized == "lpcta" and "bounds_mode" in options and isinstance(options["bounds_mode"], str):
-        options["bounds_mode"] = BoundsMode(options["bounds_mode"])
-    if normalized == "sample":
+    row = _METHODS[normalize_method(method)]
+    check_options(method, options)
+    if row.open is None:
         # The line above already validated (and possibly warned about) the
         # query; the estimator must not warn a second time.
         options.setdefault("warn", False)
-    return _METHODS[normalized](dataset, focal, k, **options)
+    return row.run(dataset, focal, k, **options)

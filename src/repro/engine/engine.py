@@ -82,9 +82,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from ..approx.result import ApproxKSPRResult
-from ..core.base import PreparedQuery
+from ..core.base import PreparedQuery, Pull, drain
 from ..core.bounds import BoundsMode
-from ..core.query import resolve_method, validate_query
+from ..core.query import check_options, method_space, open_query, resolve_method, validate_query
 from ..core.result import KSPRResult, PartialKSPRResult
 from ..exceptions import InvalidDatasetError, InvalidQueryError, ReproError, SnapshotError
 from ..geometry.halfspace import Hyperplane
@@ -107,11 +107,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = ["Engine"]
 
-#: Preference-space tag used to segregate hyperplane caches (a transformed-
-#: space hyperplane and an original-space one differ for the same record).
-_TRANSFORMED = "transformed"
-_ORIGINAL = "original"
-
 #: The counters the engine itself keeps, under their catalogued names; the
 #: result cache and the partial store keep the rest (see :meth:`Engine.metrics`).
 _ENGINE_COUNTERS = (
@@ -133,10 +128,12 @@ _GAUGES = frozenset((
 class _Plan:
     """One query resolved once by :meth:`Engine._plan`: every serving path reads
     its method, canonical options, dataset state, space, pruning and key here.
+    ``run`` is the sampling estimator's function; exact methods run through
+    their opener (:func:`repro.core.query.open_query`).
     """
 
     method: str
-    run: Callable[..., KSPRResult]
+    run: Callable[..., ApproxKSPRResult]
     focal: np.ndarray
     k: int
     options: dict
@@ -297,7 +294,8 @@ class Engine:
         self._name = dataset.name
 
         prepare_start = time.perf_counter()
-        self._skyband = SkybandIndex(dataset)
+        if not hasattr(self, "_skyband"):  # :meth:`_seeded` brought the counts
+            self._skyband = SkybandIndex(dataset)
         self._snapshot = dataset
         self._shared_tree = AggregateRTree(dataset, fanout=self._fanout)
         self._result_cache = ResultCache(result_cache_size)
@@ -323,6 +321,16 @@ class Engine:
         self._counters: dict[str, float] = dict.fromkeys(_ENGINE_COUNTERS, 0)
         self._counters["engine.seconds.cold"] = 0.0
         self._counters["engine.seconds.prepare"] = time.perf_counter() - prepare_start
+
+    @classmethod
+    def _seeded(cls, dataset: Dataset, counts: np.ndarray, **options) -> "Engine":
+        """An engine that trusts ``counts`` (aligned with ``dataset``'s rows, as
+        :meth:`snapshot_state` gives them) instead of recounting: the private
+        path of a :class:`repro.parallel.ShardedExecutor` worker."""
+        engine = cls.__new__(cls)
+        engine._skyband = SkybandIndex._seeded(dataset, counts)
+        engine.__init__(dataset, **options)
+        return engine
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -380,8 +388,8 @@ class Engine:
         share a single cache entry.
         """
         options = dict(options)
-        if isinstance(options.get("bounds_mode"), str):
-            options["bounds_mode"] = BoundsMode(options["bounds_mode"])
+        if "bounds_mode" in options:
+            options["bounds_mode"] = BoundsMode.coerce(options["bounds_mode"])
         if "tolerance" in options:
             if options["tolerance"] is not None:
                 options["tolerance"] = resolve_tolerance(options["tolerance"])
@@ -441,11 +449,12 @@ class Engine:
         """Resolve one query once: method, options, state, space, pruning, key.
 
         ``approx=`` folds into ``method="sample"`` with the spec's fields as
-        options.  ``validate=False`` skips query validation for the callers
-        that only key an answer (:meth:`canonical_key`,
-        :meth:`cached_result`, :meth:`adopt_result`), which never reject a
-        query.  ``fingerprint`` pins the key to a specific dataset state
-        (default: the current one).
+        options.  Validation rejects a malformed query and any option the
+        method does not take, before anything is prepared.
+        ``validate=False`` skips it for the callers that only key an answer
+        (:meth:`canonical_key`, :meth:`cached_result`, :meth:`adopt_result`),
+        which never reject a query.  ``fingerprint`` pins the key to a
+        specific dataset state (default: the current one).
         """
         if approx is not None:
             from ..approx.estimator import ApproxSpec  # local import: engine <-> approx
@@ -468,13 +477,13 @@ class Engine:
         method_name, method_func = resolve_method(method or self._default_method)
         with self._lock:
             snapshot = self._snapshot
-        focal_array = (
-            validate_query(snapshot, focal, k) if validate else np.asarray(focal, dtype=float)
-        )
+        if validate:
+            focal_array = validate_query(snapshot, focal, k)
+            check_options(method_name, options)
+        else:
+            focal_array = np.asarray(focal, dtype=float)
         options = self._effective_options(options, method_name)
-        space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else options.get(
-            "space", _TRANSFORMED
-        )
+        space = method_space(method_name, options)
         return _Plan(
             method=method_name,
             run=method_func,
@@ -510,12 +519,8 @@ class Engine:
         engine's pruning even while updates race the caller.
         """
         with self._lock:
-            snapshot = self._snapshot
-            counts = np.asarray(
-                [self._skyband.count_of(int(record_id)) for record_id in snapshot.ids],
-                dtype=int,
-            )
-        return snapshot, counts
+            # The snapshot's rows are the index's live positions, in order.
+            return self._snapshot, self._skyband.live_counts()
 
     def cached_result(
         self,
@@ -672,8 +677,8 @@ class Engine:
             The query, exactly as :func:`repro.kspr` takes it.
         workers:
             ``> 1`` accelerates a *cold* ``"cta"`` query by sharding its
-            CellTree expansion across worker processes
-            (:func:`repro.parallel.parallel_cta`), and a ``"sample"`` query
+            CellTree expansion across worker processes (CTA's opener picks
+            :func:`repro.parallel.parallel_ticks`), and a ``"sample"`` query
             by classifying its seeded sample chunks in parallel; either way
             the answer — and hence the cached entry — is identical to the
             single-process run, so ``workers`` deliberately does not
@@ -704,7 +709,8 @@ class Engine:
         Raises
         ------
         InvalidQueryError
-            For malformed query inputs or an invalid accuracy contract.
+            For malformed query inputs, an option the method does not take,
+            or an invalid accuracy contract.
         """
         plan = self._plan(focal, k, method, options, approx=approx)
         tracer = current_tracer()
@@ -729,30 +735,22 @@ class Engine:
 
             with tracer.span("engine.execute") as execute_span:
                 cold_start = time.perf_counter()
-                if workers is not None and workers > 1 and plan.method == "cta":
-                    from ..parallel.subtree import parallel_cta  # local import: avoids a cycle
-
-                    result = parallel_cta(
-                        plan.snapshot,
-                        plan.focal,
-                        plan.k,
-                        workers=workers,
-                        prepared=entry.prepared,
-                        **plan.options,
+                if plan.method == "sample_kspr":
+                    # Admission already validated (and possibly warned about)
+                    # the query; the estimator must not warn a second time.
+                    # Neither flag participates in the cache key (warn is
+                    # stripped by _effective_options; chunk substreams make the
+                    # estimate identical for every worker count).
+                    result = plan.run(
+                        plan.snapshot, plan.focal, plan.k, prepared=entry.prepared,
+                        **plan.options, warn=False, workers=workers,
                     )
                 else:
-                    call_options = dict(plan.options)
-                    if plan.method == "sample_kspr":
-                        # Admission already validated (and possibly warned about)
-                        # the query; the estimator must not warn a second time.
-                        # Neither flag participates in the cache key (warn is
-                        # stripped by _effective_options; chunk substreams make the
-                        # estimate identical for every worker count).
-                        call_options["warn"] = False
-                        if workers is not None and workers > 1:
-                            call_options["workers"] = workers
-                    result = plan.run(
-                        plan.snapshot, plan.focal, plan.k, prepared=entry.prepared, **call_options
+                    result = drain(
+                        open_query(
+                            plan.method, plan.snapshot, plan.focal, plan.k, plan.options,
+                            prepared=entry.prepared, pull=Pull(workers=workers),
+                        )
                     )
                 cold_seconds = time.perf_counter() - cold_start
                 if tracer.enabled:
@@ -902,7 +900,7 @@ class Engine:
             return
 
         from ..snapshot.persist import ReplayCheckpoint  # local: engine <-> snapshot
-        from ..stream.anytime import stream_kspr  # local: engine <-> stream
+        from ..stream.anytime import AnytimeQuery  # local: engine <-> stream
 
         anytime = None
         if checkpoint is not None:
@@ -928,15 +926,12 @@ class Engine:
                 # recipe's tick cursor describes the superseded state, so it
                 # runs cold — slower, never wrong.
                 ticks = 0
-            anytime = stream_kspr(
-                plan.snapshot,
-                plan.focal,
-                plan.k,
-                method=plan.method,
-                workers=workers if plan.method == "cta" and checkpoint is None else None,
-                prepared=entry.prepared,
-                capture=capture,
-                **plan.options,
+            pull = Pull(capture=capture, workers=None if checkpoint is not None else workers)
+            anytime = AnytimeQuery(
+                *open_query(
+                    plan.method, plan.snapshot, plan.focal, plan.k, plan.options,
+                    prepared=entry.prepared, pull=pull,
+                )
             )
             if ticks > 0:
                 for _ in anytime.advance(max_batches=ticks):

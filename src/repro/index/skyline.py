@@ -160,6 +160,16 @@ class SkybandIndex:
     """
 
     def __init__(self, dataset: Dataset) -> None:
+        self._load(dataset, dominated_counts(dataset))
+
+    @classmethod
+    def _seeded(cls, dataset: Dataset, counts: np.ndarray) -> "SkybandIndex":
+        """An index trusting ``counts`` (aligned with ``dataset``'s rows) without recounting."""
+        index = cls.__new__(cls)
+        index._load(dataset, counts)
+        return index
+
+    def _load(self, dataset: Dataset, counts: np.ndarray) -> None:
         n, d = dataset.cardinality, dataset.dimensionality
         capacity = max(8, 2 * n)
         # Column-major, so the dominance kernel reads each attribute column
@@ -171,7 +181,7 @@ class SkybandIndex:
         self._active = np.zeros(capacity, dtype=bool)
         self._active[:n] = True
         self._counts = np.zeros(capacity, dtype=np.int64)
-        self._counts[:n] = dominated_counts(dataset)
+        self._counts[:n] = counts
         self._size = n
         self._position_by_id = {int(record_id): i for i, record_id in enumerate(dataset.ids)}
 
@@ -207,9 +217,9 @@ class SkybandIndex:
         """Record identifiers for the given row-store positions."""
         return self._ids[positions]
 
-    def count_of(self, record_id: int) -> int:
-        """Exact number of live records dominating ``record_id``."""
-        return int(self._counts[self._position_by_id[int(record_id)]])
+    def live_counts(self) -> np.ndarray:
+        """Dominator counts of the live records, in row-store (snapshot) order."""
+        return self._counts[self.active_positions()]
 
     def counts_by_id(self) -> dict[int, int]:
         """Mapping record id -> dominator count over all live records."""

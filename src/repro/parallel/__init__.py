@@ -10,9 +10,9 @@ shards the work across *processes* at two granularities:
   depth-first order.  The merged result is identical — same cells, ranks,
   halfspaces and witnesses — to the single-process run.
 * :class:`ShardedExecutor` — a **multi-query workload** is sharded per focal
-  record, each worker replicating the engine's cold-query path (k-skyband
-  pruning from dominator counts computed once in the parent, prepared
-  per-focal state, result deduplication).
+  record, each worker running one :class:`~repro.engine.Engine` (seeded with
+  dominator counts computed once in the parent) and answering its shard
+  through :meth:`~repro.engine.Engine.query`.
 
 Both are wired into the serving layer: ``Engine.query(..., workers=N)``
 accelerates cold CTA queries, and ``QueryBatch(engine, workers=N)`` runs a

@@ -1,24 +1,22 @@
 """Process-pool execution of multi-query kSPR workloads (per-focal shards).
 
 :class:`ShardedExecutor` spreads a batch of independent queries over worker
-processes.  Each worker reproduces the cold-query path of
-:class:`repro.engine.Engine` — focal partitioning, k-skyband pruning from
-precomputed dominator counts, a per-focal competitor R-tree and hyperplane
-cache, and per-worker result deduplication — so every answer is identical to
-what the engine (or a plain :func:`repro.kspr` call, with pruning disabled)
-would produce for the same query.
+processes.  Each worker runs one :class:`repro.engine.Engine` over the
+shipped dataset and answers its shard through :meth:`Engine.query` — the
+engine's own focal partitioning, k-skyband pruning, prepared per-focal state
+and result cache — so every answer is identical to what the engine (or a
+plain :func:`repro.kspr` call, with pruning disabled) would produce for the
+same query.
 
 The expensive O(n²) dominator-count pass is performed **once** in the parent
-and shipped to the workers, instead of being recomputed per process.  Shards
-are planned per focal record (see
+and shipped to the workers, whose engines take the counts instead of
+recounting.  Shards are planned per focal record (see
 :func:`~repro.parallel.shards.plan_focal_shards`) so prepared state is never
 duplicated across workers.
 
 Approximate specs (``method="sample"``, see :mod:`repro.approx`) are served
-through the same path: the worker reuses the pruned focal partition (no
-R-tree is built — the sampler never reads one) and the seeded chunk
-substreams make the estimate identical to the serial run for every worker
-count and shard plan.
+through the same path, and the seeded chunk substreams make the estimate
+identical to the serial run for every worker count and shard plan.
 """
 
 from __future__ import annotations
@@ -26,49 +24,28 @@ from __future__ import annotations
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ..core.base import PreparedQuery
-from ..core.bounds import BoundsMode
-from ..core.query import resolve_method, validate_query
+from ..core.query import resolve_method
 from ..engine.batch import BatchReport, QuerySpec, coerce_spec
-from ..engine.cache import options_key
+from ..engine.engine import Engine
+from ..exceptions import ReproError
 from ..index.dominance import dominated_counts
-from ..index.rtree import AggregateRTree
-from ..records import Dataset, FocalPartition
-from ..robust import Tolerance, resolve_tolerance
+from ..records import Dataset
+from ..robust import Tolerance
 from .shards import plan_focal_shards, resolve_workers
 
 __all__ = ["ShardedExecutor"]
 
-#: Module-level state installed in every worker process by the initializer.
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(
-    values: np.ndarray,
-    ids: np.ndarray,
-    name: str,
-    counts_by_id: dict[int, int] | None,
-    settings: dict,
-) -> None:
-    """Install the shared dataset and settings in a worker process."""
-    _WORKER_STATE["dataset"] = Dataset(values, ids=ids, name=name)
-    _WORKER_STATE["counts_by_id"] = counts_by_id
-    _WORKER_STATE["settings"] = settings
-
-
-def _portable_error(error: Exception | None) -> Exception | None:
+def _portable_error(error: Exception) -> Exception:
     """The original exception when it survives pickling, else a RuntimeError.
 
     Keeps error handling type-stable across worker counts: a query that
     raises :class:`~repro.exceptions.InvalidQueryError` surfaces that same
     exception type whether it ran in-process or in a worker.
     """
-    if error is None:
-        return None
     try:
         pickle.dumps(error)
         return error
@@ -76,143 +53,36 @@ def _portable_error(error: Exception | None) -> Exception | None:
         return RuntimeError(repr(error))
 
 
-def _serve_task(
-    payload: tuple[list[tuple[int, list[float], int, str | None, tuple]], float | None],
-) -> tuple[list[tuple[int, object, Exception | None, float, bool]], int, int]:
-    """Worker entry point: answer a shard of queries against the shared state.
+def _serve(payload: tuple) -> tuple[list[tuple], int, int]:
+    """Answer one shard of queries in order on an engine of its own.
 
-    The deadline travels as an absolute wall-clock epoch (``time.time()``,
-    comparable across processes) anchored at ``run()`` start, so pool
-    startup and state transfer are charged to the caller's budget instead of
-    granting every worker a fresh allowance.
+    ``payload`` is ``(dataset, counts, engine options, tasks, deadline)``,
+    each task an ``(index, QuerySpec)`` pair; the result is one ``(index,
+    result, error, seconds, skipped)`` outcome per task plus the engine's
+    cache hits and cold queries.  The deadline is a ``time.time()`` epoch
+    anchored at ``run()`` start, so pool startup, state transfer and the
+    engine build spend the caller's budget.  It is checked *between*
+    queries, and queries past it come back skipped: every shard serves a
+    deterministic prefix.
     """
-    tasks, deadline_epoch = payload
-    budget_seconds = None if deadline_epoch is None else max(0.0, deadline_epoch - time.time())
-    dataset = _WORKER_STATE["dataset"]
-    counts_by_id = _WORKER_STATE["counts_by_id"]
-    settings = _WORKER_STATE["settings"]
-    outcomes, hits, cold = _serve(dataset, counts_by_id, settings, tasks, budget_seconds)
-    safe = []
-    for index, result, error, seconds, skipped in outcomes:
-        safe.append((index, result, _portable_error(error), seconds, skipped))
-    return safe, hits, cold
-
-
-def _serve(
-    dataset: Dataset,
-    counts_by_id: dict[int, int] | None,
-    settings: dict,
-    tasks: Iterable[tuple[int, Sequence[float], int, str | None, tuple]],
-    budget_seconds: float | None = None,
-) -> tuple[list[tuple[int, object, Exception | None, float, bool]], int, int]:
-    """Answer queries sequentially, reusing per-focal prepared state.
-
-    Mirrors :meth:`repro.engine.Engine.query`'s cold path: identical focal
-    partitioning, identical k-skyband slice (from the same dominator counts),
-    identical STR-built competitor tree — hence identical answers.
-
-    ``budget_seconds`` makes the serve loop deadline-aware: the budget is
-    checked *between* queries (cooperative, per-query granularity — an
-    in-flight query always completes), and queries past the deadline are
-    returned as *skipped* rather than failed, preserving submission order so
-    the served prefix of every shard is deterministic.
-    """
-    prepared_cache: dict[tuple, PreparedQuery] = {}
-    #: (focal, band) -> pruned FocalPartition, shared between the exact and
-    #: sampling prepared entries of one focal so the O(n d) partition pass
-    #: and the k-skyband filter run once per focal even in mixed batches.
-    partition_cache: dict[tuple, FocalPartition] = {}
-    hyperplane_caches: dict[tuple, dict] = {}
-    result_cache: dict[tuple, object] = {}
-    outcomes: list[tuple[int, object, Exception | None, float, bool]] = []
-    hits = 0
-    cold = 0
-    serve_start = time.perf_counter()
-    for index, focal, k, method, option_items in tasks:
-        if (
-            budget_seconds is not None
-            and time.perf_counter() - serve_start >= budget_seconds
-        ):
+    dataset, counts, options, tasks, deadline_epoch = payload
+    try:
+        engine = Engine._seeded(dataset, counts, **options)
+    except ReproError as failure:  # e.g. an empty dataset: no query of the shard can run
+        return [(index, None, failure, 0.0, False) for index, _ in tasks], 0, 0
+    outcomes = []
+    for index, spec in tasks:
+        if deadline_epoch is not None and time.time() >= deadline_epoch:
             outcomes.append((index, None, None, 0.0, True))
             continue
-        start = time.perf_counter()
+        start, result, error = time.perf_counter(), None, None
         try:
-            options = dict(option_items)
-            method_name, method_func = resolve_method(method or settings["method"])
-            focal_array = validate_query(dataset, np.asarray(focal, dtype=float), int(k))
-            if method_name == "lpcta" and isinstance(options.get("bounds_mode"), str):
-                options["bounds_mode"] = BoundsMode(options["bounds_mode"])
-            if options.get("tolerance") is not None:
-                options["tolerance"] = resolve_tolerance(options["tolerance"])
-            elif settings.get("tolerance") is not None:
-                options["tolerance"] = settings["tolerance"]
-            space = (
-                "original"
-                if method_name in ("op_cta", "olp_cta")
-                else options.get("space", "transformed")
-            )
-            qkey = (focal_array.tobytes(), int(k), method_name, options_key(options))
-            cached = result_cache.get(qkey)
-            if cached is not None:
-                hits += 1
-                outcomes.append((index, cached, None, time.perf_counter() - start, False))
-                continue
-
-            pruned = (
-                counts_by_id is not None
-                and settings["prune"]
-                and int(k) <= settings["k_max"]
-            )
-            band = int(k) if pruned else 0
-            # The sampling mode only consumes the focal partition — keying
-            # its prepared state separately skips the R-tree build entirely
-            # (and keeps exact queries from ever seeing a tree-less entry).
-            sampling = method_name == "sample_kspr"
-            pkey = (focal_array.tobytes(), band, space, sampling)
-            prepared = prepared_cache.get(pkey)
-            if prepared is None:
-                partition_key = (focal_array.tobytes(), band)
-                partition = partition_cache.get(partition_key)
-                if partition is None:
-                    partition = dataset.partition_by_focal(focal_array)
-                    if pruned:
-                        competitors = partition.competitors
-                        keep = [
-                            i
-                            for i, record_id in enumerate(competitors.ids)
-                            if counts_by_id[int(record_id)] < int(k)
-                        ]
-                        if len(keep) < competitors.cardinality:
-                            partition = FocalPartition(
-                                competitors=competitors.subset(keep),
-                                dominators=partition.dominators,
-                                dominated=partition.dominated,
-                            )
-                    partition_cache[partition_key] = partition
-                if sampling:
-                    prepared = PreparedQuery(partition, None, None)
-                else:
-                    tree = AggregateRTree(
-                        partition.competitors, fanout=settings["fanout"]
-                    )
-                    hkey = (focal_array.tobytes(), space)
-                    prepared = PreparedQuery(
-                        partition, tree, hyperplane_caches.setdefault(hkey, {})
-                    )
-                prepared_cache[pkey] = prepared
-
-            cold += 1
-            if sampling:
-                # validate_query above already warned where warranted; the
-                # estimator must not warn a second time (kept out of qkey —
-                # it never changes the answer).
-                options.setdefault("warn", False)
-            result = method_func(dataset, focal_array, int(k), prepared=prepared, **options)
-            result_cache[qkey] = result
-            outcomes.append((index, result, None, time.perf_counter() - start, False))
-        except Exception as error:  # noqa: BLE001 - reported per query
-            outcomes.append((index, None, error, time.perf_counter() - start, False))
-    return outcomes, hits, cold
+            result = engine.query(spec.focal, spec.k, spec.method, **spec.option_dict())
+        except Exception as failure:  # noqa: BLE001 - reported per query
+            error = _portable_error(failure)
+        outcomes.append((index, result, error, time.perf_counter() - start, False))
+    metrics = engine.metrics()
+    return outcomes, int(metrics["engine.result_cache.hits"]), int(metrics["engine.queries.cold"])
 
 
 class ShardedExecutor:
@@ -230,8 +100,8 @@ class ShardedExecutor:
         query are identical to the engine's.
     dominator_counts:
         Optional precomputed per-record dominator counts (aligned with the
-        dataset rows) to skip the O(n²) pass, e.g. from a live
-        :class:`~repro.index.skyline.SkybandIndex`.
+        dataset rows) to skip the O(n²) pass, e.g. from
+        :meth:`repro.engine.Engine.snapshot_state`.
     tolerance:
         Default numerical policy applied to every query of the batch (see
         :mod:`repro.robust`); a per-spec ``tolerance`` option overrides it.
@@ -255,24 +125,18 @@ class ShardedExecutor:
             dataset = Dataset(np.asarray(dataset, dtype=float))
         self.dataset = dataset
         self.workers = resolve_workers(workers)
-        self.settings = {
-            "method": resolve_method(method)[0],
-            "k_max": int(k_max),
-            "fanout": int(fanout),
-            "prune": bool(prune_skyband),
-            "tolerance": None if tolerance is None else resolve_tolerance(tolerance),
-        }
-        if prune_skyband:
-            counts = (
-                np.asarray(dominator_counts, dtype=int)
-                if dominator_counts is not None
-                else dominated_counts(dataset)
-            )
-            self.counts_by_id = {
-                int(record_id): int(count) for record_id, count in zip(dataset.ids, counts)
-            }
+        resolve_method(method)  # an unknown default method fails here, not per query
+        self._options = dict(
+            method=method, k_max=k_max, fanout=fanout, prune_skyband=prune_skyband,
+            tolerance=tolerance,
+        )
+        if dominator_counts is not None:
+            self._counts = np.asarray(dominator_counts, dtype=np.int64)
+        elif prune_skyband:
+            self._counts = dominated_counts(dataset)
         else:
-            self.counts_by_id = None
+            # Never read: an engine that does not prune ignores the counts.
+            self._counts = np.zeros(dataset.cardinality, dtype=np.int64)
 
     def run(
         self, specs: Iterable[QuerySpec | tuple], deadline: float | None = None
@@ -287,70 +151,29 @@ class ShardedExecutor:
         query always completes.
         """
         normalized = [coerce_spec(index, spec) for index, spec in enumerate(specs)]
-        tasks = [
-            (
-                outcome.index,
-                outcome.spec.focal.tolist(),
-                outcome.spec.k,
-                outcome.spec.method,
-                outcome.spec.options,
-            )
-            for outcome in normalized
-        ]
+        tasks = [(outcome.index, outcome.spec) for outcome in normalized]
         start = time.perf_counter()
         # One budget anchor for the whole call: pool startup and state
         # transfer spend the caller's deadline, not extra time on top of it.
         deadline_epoch = None if deadline is None else time.time() + float(deadline)
+        state = (self.dataset, self._counts, self._options)
         if self.workers == 1 or len(tasks) <= 1:
-            remaining = (
-                None if deadline_epoch is None else max(0.0, deadline_epoch - time.time())
-            )
-            raw, hits, cold = _serve(
-                self.dataset, self.counts_by_id, self.settings, tasks, remaining
-            )
-            errors = {index: error for index, _, error, _, _ in raw}
+            served = [_serve((*state, tasks, deadline_epoch))]
         else:
             plan = plan_focal_shards(
-                [np.asarray(task[1], dtype=float).tobytes() for task in tasks],
-                self.workers,
+                [np.asarray(spec.focal, dtype=float).tobytes() for _, spec in tasks], self.workers
             )
-            chunks = [[tasks[index] for index in shard] for shard in plan]
-            raw = []
-            hits = 0
-            cold = 0
-            errors = {}
-            with ProcessPoolExecutor(
-                max_workers=len(chunks),
-                initializer=_init_worker,
-                initargs=(
-                    self.dataset.values,
-                    self.dataset.ids,
-                    self.dataset.name,
-                    self.counts_by_id,
-                    self.settings,
-                ),
-            ) as pool:
-                payloads = [(chunk, deadline_epoch) for chunk in chunks]
-                for shard_raw, shard_hits, shard_cold in pool.map(_serve_task, payloads):
-                    hits += shard_hits
-                    cold += shard_cold
-                    for index, result, error, seconds, skipped in shard_raw:
-                        raw.append((index, result, None, seconds, skipped))
-                        errors[index] = error
+            payloads = [(*state, [tasks[i] for i in shard], deadline_epoch) for shard in plan]
+            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+                served = list(pool.map(_serve, payloads))
         wall = time.perf_counter() - start
 
-        by_index = {
-            index: (result, seconds, skipped) for index, result, _, seconds, skipped in raw
-        }
-        for outcome in normalized:
-            result, seconds, skipped = by_index[outcome.index]
-            outcome.result = result
-            outcome.error = errors.get(outcome.index)
-            outcome.seconds = seconds
-            outcome.skipped = skipped
+        answered = {row[0]: row[1:] for shard, _, _ in served for row in shard}
+        for out in normalized:
+            out.result, out.error, out.seconds, out.skipped = answered[out.index]
         return BatchReport(
             outcomes=normalized,
             wall_seconds=wall,
-            cache_hits=hits,
-            cold_queries=cold,
+            cache_hits=sum(hits for _, hits, _ in served),
+            cold_queries=sum(cold for _, _, cold in served),
         )

@@ -26,26 +26,30 @@ strictly in the seed tree's depth-first order (an out-of-order shard result
 is buffered until every earlier shard has landed) and yields one
 :class:`~repro.core.base.StreamTick` per commit, so consumers receive region
 prefixes of the deterministic serial order while later shards are still
-running.  :func:`parallel_cta` is the all-at-once drain of that stream.
+running.  :func:`parallel_cta` is the all-at-once drain of that stream, opened
+like every CTA query by :func:`repro.core.cta.open_cta`.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..core.base import (
     PreparedQuery,
+    Pull,
     QueryContext,
     ReportedCell,
     StreamTick,
-    build_result,
-    prepare_context,
+    drain,
+    report_leaves,
 )
 from ..core.celltree import CellTree
+from ..core.cta import open_cta
 from ..core.result import FrontierCell, KSPRResult
 from ..geometry.halfspace import Hyperplane
 from ..geometry.linprog import ConstraintStack, LPCounters
@@ -60,10 +64,6 @@ __all__ = ["parallel_cta", "parallel_ticks", "DEFAULT_SHARD_FACTOR"]
 #: Target number of shards per worker.  Over-partitioning keeps workers busy
 #: when shards die early (their whole subtree gets eliminated).
 DEFAULT_SHARD_FACTOR = 4
-
-
-def _active_leaf_count(tree: CellTree) -> int:
-    return sum(1 for _ in tree.iter_active_leaves())
 
 
 def _expand_shard_group(
@@ -96,28 +96,15 @@ def _expand_shard_group(
             root_witnesses=shard.witnesses,
             tolerance=tolerance,
         )
-        if registry is not None:
-            with use_registry(registry):
-                for hyperplane in hyperplanes:
-                    tree.insert(hyperplane)
-                    if tree.is_exhausted:
-                        break
-        else:
+        with use_registry(registry) if registry is not None else nullcontext():
             for hyperplane in hyperplanes:
                 tree.insert(hyperplane)
                 if tree.is_exhausted:
                     break
-        cells = []
-        for leaf in tree.iter_active_leaves():
-            rank_local = leaf.rank()
-            if rank_local <= k_local:
-                cells.append(
-                    (
-                        tuple(leaf.path_halfspaces()),
-                        rank_local + shard.rank_offset,
-                        leaf.witness,
-                    )
-                )
+        cells = [
+            (cell.halfspaces, cell.rank + shard.rank_offset, cell.witness)
+            for cell in report_leaves(tree, k_local)
+        ]
         if registry is not None:
             histogram = registry.histogram(LP_CONSTRAINTS)
             histogram_payload = (list(histogram.counts), histogram.total, histogram.sum)
@@ -182,7 +169,7 @@ def parallel_ticks(
         if tree.is_exhausted:
             exhausted = True
             break
-        if workers > 1 and _active_leaf_count(tree) >= target_shards:
+        if workers > 1 and sum(1 for _ in tree.iter_active_leaves()) >= target_shards:
             break
     remaining = [] if exhausted else hyperplanes[seeded:]
 
@@ -201,19 +188,7 @@ def parallel_ticks(
         )
 
     if not remaining:
-        reported: list[ReportedCell] = []
-        for leaf in tree.iter_active_leaves():
-            rank = leaf.rank()
-            if rank <= context.effective_k:
-                view = tree.view(leaf)
-                reported.append(
-                    ReportedCell(
-                        halfspaces=view.bounding_halfspaces,
-                        rank=rank,
-                        witness=view.witness,
-                    )
-                )
-        yield finish(reported, extra_nodes=0, batches=1)
+        yield finish(report_leaves(tree, context.effective_k), extra_nodes=0, batches=1)
         return
 
     shards = []
@@ -253,7 +228,6 @@ def parallel_ticks(
         for group in groups
     ]
 
-    prefix_by_index = {shard.index: shard.prefix for shard in shards}
     shard_by_index = {shard.index: shard for shard in shards}
     shard_order = sorted(shard_by_index)
     cells_by_index: dict[int, list] = {}
@@ -281,7 +255,7 @@ def parallel_ticks(
         new_cells: list[ReportedCell] = []
         while committed < len(shard_order) and shard_order[committed] in cells_by_index:
             shard_index = shard_order[committed]
-            prefix = prefix_by_index[shard_index]
+            prefix = shard_by_index[shard_index].prefix
             for local_path, rank, witness in cells_by_index[shard_index]:
                 new_cells.append(
                     ReportedCell(halfspaces=prefix + local_path, rank=rank, witness=witness)
@@ -369,7 +343,6 @@ def parallel_ticks(
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
-
 def parallel_cta(
     dataset: Dataset,
     focal: np.ndarray | Sequence[float],
@@ -387,22 +360,13 @@ def parallel_cta(
     (``None`` means all available cores) and ``shard_factor`` (shards per
     worker).  The answer — every region's bounding halfspaces, rank and
     witness — is identical to the single-process :func:`~repro.core.cta.cta`
-    call; with ``workers=1`` the computation itself degenerates to the
-    serial loop.  Implemented as the all-at-once drain of
-    :func:`parallel_ticks`, the same stream the anytime serving layer pulls
-    incrementally.
+    call; with ``workers=1`` it is that call.  Implemented as the drain of
+    CTA's opener (:func:`repro.core.cta.open_cta`), whose ``workers > 1``
+    stream is :func:`parallel_ticks`, the one the anytime serving layer
+    pulls incrementally.
     """
-    workers = resolve_workers(workers)
-    context = prepare_context(
-        dataset,
-        focal,
-        k,
-        algorithm=f"CTA[workers={workers}]",
-        space=space,
-        prepared=prepared,
-        tolerance=tolerance,
+    opened = open_cta(
+        dataset, focal, k, space=space, finalize_geometry=finalize_geometry, prepared=prepared,
+        tolerance=tolerance, pull=Pull(workers=resolve_workers(workers), shard_factor=shard_factor),
     )
-    reported: list[ReportedCell] = []
-    for tick in parallel_ticks(context, workers=workers, shard_factor=shard_factor):
-        reported.extend(tick.new_cells)
-    return build_result(context, reported, None, finalize_geometry)
+    return drain(opened)

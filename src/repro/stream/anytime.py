@@ -17,8 +17,9 @@ top of them:
   query paused and the final answer is byte-identical to an uninterrupted
   run;
 * :func:`stream_kspr` — the `kspr()`-shaped entry point returning an
-  :class:`AnytimeQuery` for any method (serial or, for CTA, sharded across
-  worker processes).
+  :class:`AnytimeQuery` for any exact method (serial or, for CTA, sharded
+  across worker processes), opened by the same per-method opener
+  (:func:`repro.core.query.open_query`) every other entry point runs.
 """
 
 from __future__ import annotations
@@ -31,22 +32,18 @@ import numpy as np
 
 from ..core.base import (
     PreparedQuery,
+    Pull,
     QueryContext,
     ReportedCell,
     StreamTick,
     build_region,
     build_result,
-    prepare_context,
 )
-from ..core.bounds import BoundsMode, OriginalSpaceBoundEvaluator, TransformedBoundEvaluator
-from ..core.cta import cta_ticks
-from ..core.progressive import progressive_ticks
-from ..core.query import resolve_method, validate_query
+from ..core.query import open_query, validate_query
 from ..core.result import KSPRResult, PartialKSPRResult, PreferenceRegion
 from ..exceptions import InvalidQueryError
 from ..obs.trace import current_tracer
 from ..records import Dataset
-from ..robust import Tolerance
 
 __all__ = ["StreamBudget", "AnytimeQuery", "stream_kspr"]
 
@@ -340,16 +337,15 @@ def stream_kspr(
     chunk_size: int | None = None,
     shard_factor: int | None = None,
     prepared: PreparedQuery | None = None,
-    bounds_mode: BoundsMode | str = BoundsMode.FAST,
-    space: str = "transformed",
-    finalize_geometry: bool = True,
-    tolerance: Tolerance | float | None = None,
     capture: bool = True,
+    **options,
 ) -> AnytimeQuery:
     """Open an anytime kSPR query (the streaming counterpart of :func:`repro.kspr`).
 
-    Accepts the same query triple and method names as :func:`repro.kspr` and
-    returns an :class:`AnytimeQuery` ready to be advanced under a budget.
+    Accepts the same query triple, method names and options as
+    :func:`repro.kspr` and returns an :class:`AnytimeQuery` ready to be
+    advanced under a budget.  The query runs through the method's opener,
+    the same one the all-at-once call drains.
 
     Parameters
     ----------
@@ -369,7 +365,7 @@ def stream_kspr(
         processes (:func:`repro.parallel.subtree.parallel_ticks`): per-shard
         region streams are merged back in the deterministic depth-first
         order of the seed tree, so snapshots — and the final result — are
-        identical to the serial stream.
+        identical to the serial stream.  Other methods ignore it.
     chunk_size:
         CTA tick granularity (records per work unit); subsystem default
         when ``None``.
@@ -378,22 +374,16 @@ def stream_kspr(
     prepared:
         Prepared per-focal state from a serving layer (skips partitioning
         and the competitor R-tree build).
-    bounds_mode:
-        LP-CTA look-ahead configuration (``"fast"``, ``"group"``,
-        ``"record"``).
-    space:
-        ``"transformed"`` (default) or ``"original"`` (Appendix C variants).
-    finalize_geometry:
-        Whether the terminal result computes exact region geometry.
-    tolerance:
-        Numerical policy for every comparison of the query (see
-        :mod:`repro.robust`).
     capture:
         ``False`` skips the per-tick frontier freeze (an
         O(active leaves × tree depth) copy): snapshots then report the
         trivial ``impact_upper() == 1.0`` until completion, but
         pause/resume and region streaming are unaffected — the right trade
         for consumers that never read brackets.
+    options:
+        The method's options, as :func:`repro.kspr` takes them:
+        ``bounds_mode`` (LP-CTA), ``space`` (CTA), ``finalize_geometry``
+        (CTA, P-CTA, LP-CTA) and ``tolerance`` (every method).
 
     Returns
     -------
@@ -405,8 +395,8 @@ def stream_kspr(
     Raises
     ------
     InvalidQueryError
-        For malformed query inputs, an unknown method, or a method without
-        a streaming implementation.
+        For malformed query inputs, an unknown method, a method without a
+        streaming implementation, or an option the method does not take.
 
     Examples
     --------
@@ -423,97 +413,6 @@ def stream_kspr(
     if not isinstance(dataset, Dataset):
         dataset = Dataset(np.asarray(dataset, dtype=float))
     focal = validate_query(dataset, focal, k)
-    method_name, _ = resolve_method(method)
-
-    if method_name == "cta":
-        if workers is not None and workers > 1:
-            # Local import: repro.parallel imports the engine's batch module.
-            from ..parallel.subtree import DEFAULT_SHARD_FACTOR, parallel_ticks
-            from ..parallel.shards import resolve_workers
-
-            worker_count = resolve_workers(workers)
-            context = prepare_context(
-                dataset,
-                focal,
-                k,
-                algorithm=f"CTA[workers={worker_count}]",
-                space=space,
-                prepared=prepared,
-                tolerance=tolerance,
-            )
-            ticks = parallel_ticks(
-                context,
-                workers=worker_count,
-                shard_factor=DEFAULT_SHARD_FACTOR if shard_factor is None else shard_factor,
-                capture=capture,
-            )
-            return AnytimeQuery(context, ticks, finalize_geometry)
-        context = prepare_context(
-            dataset, focal, k, algorithm="CTA", space=space, prepared=prepared,
-            tolerance=tolerance,
-        )
-        return AnytimeQuery(
-            context, cta_ticks(context, chunk_size, capture=capture), finalize_geometry
-        )
-
-    if method_name == "pcta":
-        context = prepare_context(
-            dataset, focal, k, algorithm="P-CTA", prepared=prepared, tolerance=tolerance
-        )
-        return AnytimeQuery(
-            context, progressive_ticks(context, None, capture=capture), finalize_geometry
-        )
-
-    if method_name == "lpcta":
-        if isinstance(bounds_mode, str):
-            bounds_mode = BoundsMode(bounds_mode)
-        context = prepare_context(
-            dataset,
-            focal,
-            k,
-            algorithm=f"LP-CTA[{bounds_mode.value}]",
-            prepared=prepared,
-            tolerance=tolerance,
-        )
-        evaluator = None
-        if context.effective_k >= 1:
-            evaluator = TransformedBoundEvaluator(
-                tree=context.tree,
-                focal=context.focal,
-                dimensionality=context.cell_dimensionality,
-                counters=context.counters,
-                mode=bounds_mode,
-                tolerance=context.tolerance,
-            )
-        return AnytimeQuery(
-            context, progressive_ticks(context, evaluator, capture=capture), finalize_geometry
-        )
-
-    if method_name == "op_cta":
-        context = prepare_context(
-            dataset, focal, k, algorithm="OP-CTA", space="original", prepared=prepared,
-            tolerance=tolerance,
-        )
-        return AnytimeQuery(
-            context, progressive_ticks(context, None, capture=capture), finalize_geometry=False
-        )
-
-    if method_name == "olp_cta":
-        context = prepare_context(
-            dataset, focal, k, algorithm="OLP-CTA", space="original", prepared=prepared,
-            tolerance=tolerance,
-        )
-        evaluator = None
-        if context.effective_k >= 1:
-            evaluator = OriginalSpaceBoundEvaluator(
-                tree=context.tree,
-                focal=context.focal,
-                dimensionality=context.cell_dimensionality,
-                counters=context.counters,
-                tolerance=context.tolerance,
-            )
-        return AnytimeQuery(
-            context, progressive_ticks(context, evaluator, capture=capture), finalize_geometry=False
-        )
-
-    raise InvalidQueryError(f"method {method_name!r} has no streaming implementation")
+    pull = Pull(capture=capture, workers=workers, chunk_size=chunk_size, shard_factor=shard_factor)
+    opened = open_query(method, dataset, focal, k, options, prepared=prepared, pull=pull)
+    return AnytimeQuery(*opened)

@@ -62,6 +62,16 @@ class TestSubtreeShardedCTA:
         sharded = parallel_cta(dataset, focal, 3, workers=workers, shard_factor=2)
         assert_results_identical(sharded, serial)
 
+    def test_one_worker_is_the_serial_run(self):
+        dataset = independent_dataset(50, 3, seed=301)
+        focal = dataset.values[int(np.argmax(dataset.values.sum(axis=1)))] * 0.95
+        serial = cta(dataset, focal, 3)
+        single = parallel_cta(dataset, focal, 3, workers=1)
+        assert_results_identical(single, serial)
+        assert single.stats.algorithm == serial.stats.algorithm == "CTA"
+        assert single.stats.lp.feasibility_calls == serial.stats.lp.feasibility_calls
+        assert single.stats.lp.optimize_calls == serial.stats.lp.optimize_calls
+
     def test_identical_on_anticorrelated_data(self):
         dataset = anticorrelated_dataset(70, 3, seed=302)
         focal = dataset.values[5] * 0.97
@@ -148,6 +158,35 @@ class TestShardedExecutor:
         assert report.outcomes[0].ok and not report.outcomes[1].ok
         assert isinstance(report.outcomes[1].error, InvalidQueryError)
 
+    def test_given_counts_are_never_recounted(self, dataset, monkeypatch):
+        import importlib
+
+        from repro.index.dominance import dominated_counts
+
+        counts = dominated_counts(dataset)
+        expected = ShardedExecutor(dataset, workers=1).run([QuerySpec(dataset.values[7] * 0.96, 2)])
+
+        def recount(_dataset, *args, **kwargs):
+            raise AssertionError("dominator counts were recounted")
+
+        # import_module: ``repro.index.skyline`` is also the name of a function.
+        for module in ("repro.index.skyline", "repro.parallel.executor"):
+            monkeypatch.setattr(importlib.import_module(module), "dominated_counts", recount)
+        report = ShardedExecutor(dataset, workers=1, dominator_counts=counts).run(
+            [QuerySpec(dataset.values[7] * 0.96, 2), QuerySpec(dataset.values[8] * 0.96, 3)]
+        )
+        assert not report.errors
+        assert_results_identical(report.results[0], expected.results[0])
+
+    def test_an_empty_dataset_fails_each_query_not_the_run(self):
+        from repro.exceptions import ReproError
+
+        report = ShardedExecutor(Dataset(np.empty((0, 3))), workers=1).run(
+            [QuerySpec(np.ones(3), 1), QuerySpec(np.ones(3) * 0.5, 1)]
+        )
+        assert len(report.errors) == 2
+        assert all(isinstance(outcome.error, ReproError) for outcome in report.outcomes)
+
     def test_precomputed_counts_accepted(self, dataset):
         from repro.index.dominance import dominated_counts
 
@@ -207,6 +246,18 @@ class TestEngineIntegration:
         from repro.index.dominance import dominated_counts
 
         assert np.array_equal(counts, dominated_counts(snapshot))
+        # After a seeded churn of inserts and deletes the counts (read as one
+        # array from the index) still describe the engine's dataset row by row.
+        rng = np.random.default_rng(325)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                engine.insert(rng.random(3))
+            else:
+                engine.delete(int(rng.choice(engine.dataset.ids)))
+        snapshot, counts = engine.snapshot_state()
+        assert snapshot is engine.dataset
+        assert np.array_equal(counts, dominated_counts(engine.dataset))
+        assert np.array_equal(engine.dominator_counts(), counts)
 
     def test_adopt_result_rejects_stale_fingerprints(self):
         dataset = independent_dataset(60, 3, seed=322)

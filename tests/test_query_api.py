@@ -37,6 +37,19 @@ class TestKsprDispatch:
         # Geometry can still be computed lazily afterwards.
         assert result.total_volume() > 0
 
+    def test_every_method_serves_as_an_engine_default(self):
+        """An engine stores its default method canonically ("sample" becomes
+        "sample_kspr"); every query on the default must still resolve."""
+        from repro import Engine
+        from repro.parallel import ShardedExecutor
+
+        dataset = independent_dataset(60, 3, seed=4)
+        focal = dataset.values[0] * 0.97
+        for method in available_methods():
+            assert Engine(dataset, method=method).query(focal, 2) is not None
+        report = ShardedExecutor(dataset, workers=1, method="sample").run([(focal, 2)])
+        assert not report.errors
+
     def test_low_dimensional_dataset_rejected(self):
         with pytest.raises(InvalidQueryError):
             kspr(Dataset([[1.0], [2.0]]), [1.5], 1)
@@ -79,6 +92,98 @@ class TestQueryValidation:
     def test_non_finite_focal_rejected(self, small_ind_dataset, bad_value):
         with pytest.raises(InvalidQueryError):
             kspr(small_ind_dataset, [0.5, bad_value, 0.5], 2)
+
+
+class TestOptionRejection:
+    """An option a method does not take is an InvalidQueryError at every entry point."""
+
+    #: (method, an option that method does not take)
+    CASES = [
+        ("pcta", {"space": "original"}),
+        ("lpcta", {"space": "original"}),
+        ("op-cta", {"finalize_geometry": True}),
+        ("olp-cta", {"bounds_mode": "group"}),
+        ("cta", {"bounds_mode": "group"}),
+        ("pcta", {"bogus": 1}),
+    ]
+
+    @staticmethod
+    def _case():
+        dataset = independent_dataset(200, 3, seed=1)
+        focal = dataset.values[int(np.argmax(dataset.values.sum(axis=1)))] * 0.97
+        return dataset, focal
+
+    @pytest.mark.parametrize("method, option", CASES)
+    def test_every_entry_point_rejects_at_call_time(self, method, option):
+        from repro import Engine, stream_kspr
+
+        dataset, focal = self._case()
+        (name,) = option
+        engine = Engine(dataset)
+        calls = (
+            lambda: kspr(dataset, focal, 2, method=method, **option),
+            lambda: stream_kspr(dataset, focal, 2, method=method, **option),
+            lambda: engine.query(focal, 2, method=method, **option),
+            lambda: engine.query_stream(focal, 2, method=method, **option),
+        )
+        for call in calls:
+            with pytest.raises(InvalidQueryError, match=rf"'{name}'") as caught:
+                call()
+            assert method.replace("-", "_") in str(caught.value)
+        # Rejected before any prepared state was built or any query counted.
+        assert engine.metrics()["engine.prepared.builds"] == 0
+        assert engine.metrics()["engine.queries"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sharded_executor_reports_the_rejection_per_query(self, workers):
+        from repro.engine import QuerySpec
+        from repro.parallel import ShardedExecutor
+
+        dataset, focal = self._case()
+        specs = [
+            QuerySpec(focal=focal, k=2, method="pcta"),
+            QuerySpec(focal=focal * 0.99, k=2, method="pcta", options=(("space", "original"),)),
+        ]
+        report = ShardedExecutor(dataset, workers=workers).run(specs)
+        assert report.outcomes[0].completed
+        assert isinstance(report.outcomes[1].error, InvalidQueryError)
+        assert "'space'" in str(report.outcomes[1].error)
+
+    def test_rejected_stream_option_leaves_the_engine_serving(self):
+        """A stream once ran P-CTA in the transformed space under an original-space
+        key; the cached transformed hyperplanes then broke a later OP-CTA query."""
+        from repro import Engine
+        from repro.parallel import assert_results_identical
+
+        dataset, focal = self._case()
+        engine = Engine(dataset)
+        with pytest.raises(InvalidQueryError, match="space"):
+            engine.query_stream(focal, 2, method="pcta", space="original")
+        result = engine.query(focal, 2, method="op-cta")
+        assert_results_identical(result, Engine(dataset).query(focal, 2, method="op-cta"))
+        assert result.stats.algorithm == "OP-CTA"
+
+    def test_workers_is_ignored_by_methods_without_sharding(self):
+        from repro import Engine, stream_kspr
+        from repro.parallel import assert_results_identical
+
+        dataset, focal = self._case()
+        serial = kspr(dataset, focal, 2, method="pcta")
+        assert_results_identical(
+            stream_kspr(dataset, focal, 2, method="pcta", workers=2).run(), serial
+        )
+        sharded = Engine(dataset, prune_skyband=False).query(focal, 2, method="pcta", workers=2)
+        assert_results_identical(sharded, serial)
+        assert sharded.stats.algorithm == "P-CTA"
+
+    def test_unknown_bounds_mode_is_an_invalid_query(self):
+        from repro import Engine
+
+        dataset, focal = self._case()
+        with pytest.raises(InvalidQueryError, match="bounds_mode"):
+            kspr(dataset, focal, 2, method="lpcta", bounds_mode="fastest")
+        with pytest.raises(InvalidQueryError, match="bounds_mode"):
+            Engine(dataset).query(focal, 2, method="lpcta", bounds_mode="fastest")
 
 
 class TestVerification:

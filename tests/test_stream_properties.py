@@ -13,6 +13,10 @@ randomised ``(n, d, k, seed, distribution)`` grid for all progressive methods
   intermediate bracket contains it (transformed-space methods);
 * **drain identity** — draining the stream produces a result structurally
   identical to the all-at-once method call;
+* **entry-point identity** — ``kspr()``, ``Engine.query``, a drained
+  ``Engine.query_stream`` and ``ShardedExecutor`` at one and two workers
+  give that same answer, algorithm label and LP counts (each runs the
+  method's one opener);
 * **pause/resume identity** — truncating the stream after a random number of
   work units and resuming later yields the same final result byte for byte.
 """
@@ -24,9 +28,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import cta, kspr, lpcta, pcta, stream_kspr
+from repro import Engine, cta, kspr, lpcta, pcta, stream_kspr
 from repro.core.original_space import olp_cta, op_cta
 from repro.data import anticorrelated_dataset, correlated_dataset, independent_dataset
+from repro.parallel import ShardedExecutor
 from repro.parallel.compare import assert_results_identical
 
 GENERATORS = {
@@ -131,6 +136,35 @@ def test_anytime_contract_per_method(method: str, case):
     else:
         # Original-space snapshots carry the trivial (but still sound) bracket.
         assert snapshots[-1].impact_bracket() == (0.0, 1.0)
+
+    # Every entry point opens the method the same way: same answer, label and LPs.
+    for result in (query.result(), *_through_every_entry_point(dataset, focal, k, method)):
+        _assert_same_run(result, direct)
+
+
+def _through_every_entry_point(dataset, focal, k: int, method: str) -> list:
+    """``method``'s answer from kspr(), the engine, its stream and the executor."""
+    streamed = list(Engine(dataset, prune_skyband=False).query_stream(focal, k, method=method))
+    results = [
+        kspr(dataset, focal, k, method=method),
+        Engine(dataset, prune_skyband=False).query(focal, k, method=method),
+        streamed[-1].to_result(),
+    ]
+    for workers in (1, 2):
+        # Two specs, so workers=2 runs a worker process (the repeat is a cache hit).
+        report = ShardedExecutor(dataset, workers=workers, prune_skyband=False).run(
+            [(focal, k, method)] * 2
+        )
+        assert not report.errors
+        results.append(report.results[0])
+    return results
+
+
+def _assert_same_run(result, expected) -> None:
+    assert_results_identical(result, expected)
+    assert result.stats.algorithm == expected.stats.algorithm
+    assert result.stats.lp.feasibility_calls == expected.stats.lp.feasibility_calls
+    assert result.stats.lp.optimize_calls == expected.stats.lp.optimize_calls
 
 
 @SETTINGS
