@@ -13,7 +13,9 @@ all included in every measured latency.  Three phases:
 * **steady-state replay** — the trace is replayed open-loop at a target QPS;
   every request times its **TTFA** (send to first ``approx`` SSE event) and
   its refinement push (send to the ``exact`` event).  Reported: p50/p99 of
-  both, achieved QPS, admission-rejection rates;
+  both, achieved QPS, admission-rejection rates, and the TCP connections
+  the client opened per request (it keeps connections alive, so this
+  stays far below one);
 * **shedding probe** — a deliberately tiny-budget service is slammed with a
   burst to demonstrate (and count) ``over_budget`` / ``queue_full``
   rejections.
@@ -26,7 +28,9 @@ falling outside their approximate confidence interval stays within ``delta``
 plus a three-sigma binomial allowance.  Zero violations would be the wrong
 bar: a ``(1 - delta)`` interval legitimately misses with probability up to
 ``delta`` per query, and the Zipf replay re-counts that same deterministic
-miss on every repeat of a hot key.  The documented latency
+miss on every repeat of a hot key.  Connection reuse is checked in every
+mode too: at most ``MAX_CONNECTIONS_PER_REQUEST`` new connections per
+replayed request.  The documented latency
 bar — **p99 TTFA <= 50 ms at an offered rate of >= 500 QPS** on the
 10k-record, 4-attribute dataset — is enforced at full scale only
 (``--tiny``, the CI smoke mode, checks the invariants plus a generous
@@ -62,6 +66,30 @@ TARGET_QPS = 500.0
 TTFA_P99_BAR_SECONDS = 0.050
 
 SEED = 907
+
+#: Connection reuse bar: new TCP connections per replayed request.
+MAX_CONNECTIONS_PER_REQUEST = 0.1
+
+
+class _ConnectionCounter:
+    """Counts the TCP connections the client opens, at the name it calls."""
+
+    def __init__(self) -> None:
+        self.opened = 0
+        self._original = asyncio.open_connection
+
+    def __enter__(self) -> "_ConnectionCounter":
+        original = self._original
+
+        async def counted(*args, **kwargs):
+            self.opened += 1
+            return await original(*args, **kwargs)
+
+        asyncio.open_connection = counted
+        return self
+
+    def __exit__(self, *exc) -> None:
+        asyncio.open_connection = self._original
 
 
 def _percentiles(samples: list[float]) -> dict:
@@ -160,8 +188,10 @@ async def _measure_load(
         qps = TARGET_QPS if len(workload) >= REQUESTS else max(
             100.0, len(workload) * 2.0
         )
-        records, elapsed = await _replay(client, workload, qps)
+        with _ConnectionCounter() as connections:
+            records, elapsed = await _replay(client, workload, qps)
         assert await service.quiesce(timeout=600.0)
+        await client.aclose()
 
         served = [record for record in records if "ttfa" in record]
         rejected = [record for record in records if "rejected" in record]
@@ -202,6 +232,7 @@ async def _measure_load(
                 "ttfa": _percentiles([record["ttfa"] for record in served]),
                 "refine": _percentiles([record["refine"] for record in refined]),
                 "refined_fraction": len(refined) / max(1, len(served)),
+                "connections_per_request": connections.opened / len(records),
                 "honesty_checked": steady_checked,
                 "honesty_violations": steady_violations,
             },
@@ -338,6 +369,7 @@ def test_serve_load_tiny() -> None:
     assert steady["rejection_rate"] == 0.0, "the generous-budget replay must not shed"
     # Generous smoke bar: approx answers over a warm engine stay sub-second.
     assert steady["ttfa"]["p99_ms"] <= 1_000.0
+    assert steady["connections_per_request"] <= MAX_CONNECTIONS_PER_REQUEST
     assert sum(payload["shedding"]["rejections"].values()) > 0
 
 
@@ -355,12 +387,17 @@ def main(argv: list[str] | None = None) -> int:
         f"{steady['achieved_qps']:.0f} QPS achieved "
         f"({steady['offered_qps']:.0f} offered): TTFA p50 "
         f"{steady['ttfa']['p50_ms']:.2f} ms / p99 {steady['ttfa']['p99_ms']:.2f} ms, "
-        f"refinement p99 {steady['refine']['p99_ms']:.2f} ms; "
+        f"refinement p99 {steady['refine']['p99_ms']:.2f} ms, "
+        f"{steady['connections_per_request']:.3f} connections per request; "
         f"honesty {payload['warmup']['honesty']['violations']:.0f}/"
         f"{payload['warmup']['honesty']['checked']:.0f} unique CI misses "
         f"(allowance {payload['warmup']['honesty']['allowed']:.1f}); "
         f"shedding probe rejected {sum(payload['shedding']['rejections'].values())}; "
         f"JSON written to {target}"
+    )
+    assert steady["connections_per_request"] <= MAX_CONNECTIONS_PER_REQUEST, (
+        f"{steady['connections_per_request']:.3f} new connections per request: "
+        "the client stopped reusing connections"
     )
     if not arguments.tiny:
         assert steady["offered_qps"] >= TARGET_QPS

@@ -54,7 +54,7 @@ shortcuts leave open:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -516,13 +516,6 @@ class CellTree:
             rank=node.rank(),
             witness=node.witness,
         )
-
-    def active_views(self, predicate: Callable[[CellView], bool] | None = None) -> list[CellView]:
-        """Snapshots of all active leaves, optionally filtered by ``predicate``."""
-        views = [self.view(leaf) for leaf in self.iter_active_leaves()]
-        if predicate is None:
-            return views
-        return [view for view in views if predicate(view)]
 
     def memory_bytes(self) -> int:
         """Rough size of the tree in bytes (space-consumption experiments)."""

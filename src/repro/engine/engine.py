@@ -536,12 +536,41 @@ class Engine:
         the current one); a hit is counted as a served query in the engine
         statistics.
         """
-        plan = self._plan(focal, k, method, options or {}, fingerprint=fingerprint, validate=False)
-        with self._lock:
+        return self._peek(
+            focal, k, method, options or {}, fingerprint=fingerprint, validate=False
+        )
+
+    def _peek(
+        self,
+        focal: np.ndarray | Sequence[float],
+        k: int,
+        method: str | None,
+        options: dict,
+        *,
+        wait: bool = True,
+        **plan_options,
+    ) -> KSPRResult | ApproxKSPRResult | None:
+        """One result-cache lookup that never computes: the cached answer or None.
+
+        The lookup body of :meth:`cached_result` and ``query(cached_only=True)``.
+        The plan and the lookup run under one acquisition of the engine lock,
+        and a hit counts as a served query.  ``wait=False`` is the
+        event-loop peek: a contended lock reads as a miss, and a miss counts
+        nothing, because its caller then runs the full :meth:`query`, which
+        counts it.
+        """
+        if not self._lock.acquire(blocking=wait):
+            return None
+        try:
+            plan = self._plan(focal, k, method, options, **plan_options)
+            if not wait and plan.key not in self._result_cache:
+                return None
             cached = self._result_cache.get(plan.key)
             if cached is not None:
                 self._counters["engine.queries"] += 1
             return cached
+        finally:
+            self._lock.release()
 
     def skyband_ids(self, k: int) -> set[int]:
         """Identifiers of the current k-skyband, from the maintained counts."""
@@ -662,8 +691,9 @@ class Engine:
         workers: int | None = None,
         approx: "object | None" = None,
         use_cache: bool = True,
+        cached_only: bool = False,
         **options,
-    ) -> KSPRResult | ApproxKSPRResult:
+    ) -> KSPRResult | ApproxKSPRResult | None:
         """Answer one kSPR query, reusing every piece of prepared state it can.
 
         Accepts the same arguments as :func:`repro.kspr`; results are
@@ -699,12 +729,20 @@ class Engine:
             install — forcing a full cold execution.  Used by
             :meth:`profile` so a traced run always records the complete
             span tree; answers are unaffected either way.
+        cached_only:
+            ``True`` returns the cached answer or ``None`` and never
+            computes, nor waits on the engine lock: a lock another thread
+            holds counts as a miss, and a miss is not counted (the caller's
+            follow-up full query counts it).  Safe to call from an event
+            loop; the serving tier answers warm requests this way without a
+            worker-pool hop.
 
         Returns
         -------
-        KSPRResult or ApproxKSPRResult
+        KSPRResult or ApproxKSPRResult or None
             The exact answer, or the sampled estimate when ``approx`` /
-            ``method="sample"`` was requested.
+            ``method="sample"`` was requested; ``None`` only for a
+            ``cached_only`` miss.
 
         Raises
         ------
@@ -712,6 +750,8 @@ class Engine:
             For malformed query inputs, an option the method does not take,
             or an invalid accuracy contract.
         """
+        if cached_only:
+            return self._peek(focal, k, method, options, wait=False, approx=approx)
         plan = self._plan(focal, k, method, options, approx=approx)
         tracer = current_tracer()
         with tracer.span("engine.query", method=plan.method, k=plan.k) as query_span:

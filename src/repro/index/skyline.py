@@ -201,10 +201,6 @@ class SkybandIndex:
     def __contains__(self, record_id: int) -> bool:
         return int(record_id) in self._position_by_id
 
-    def position_of(self, record_id: int) -> int:
-        """Row-store position of a live record."""
-        return self._position_by_id[int(record_id)]
-
     def active_positions(self) -> np.ndarray:
         """Row-store positions of all live records, in insertion order."""
         return np.nonzero(self._active[: self._size])[0]

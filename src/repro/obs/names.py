@@ -36,6 +36,9 @@ __all__ = [
     "SERVE_HONESTY_VIOLATIONS",
     "SERVE_DISCONNECTS",
     "SERVE_CONNECTION_RESETS",
+    "SERVE_HEAD_TOO_LARGE",
+    "SERVE_REQUEST_TIMEOUTS",
+    "SERVE_IDLE_CLOSED",
     "SERVE_ACTIVE",
     "SERVE_REJECTED_PREFIX",
     "SERVE_SUBSCRIPTIONS_TOTAL",
@@ -89,6 +92,12 @@ SERVE_HONESTY_VIOLATIONS = "serve.honesty.violations.total"
 SERVE_DISCONNECTS = "serve.disconnects.total"
 #: Client connections dropped mid-response at the HTTP layer (counter).
 SERVE_CONNECTION_RESETS = "serve.connection_resets.total"
+#: Requests whose head broke the header-count or size cap, answered 431 (counter).
+SERVE_HEAD_TOO_LARGE = "serve.http.head_too_large.total"
+#: Started requests whose head or body did not arrive in time, answered 408 (counter).
+SERVE_REQUEST_TIMEOUTS = "serve.http.request_timeouts.total"
+#: Kept-alive connections closed after idling between requests (counter).
+SERVE_IDLE_CLOSED = "serve.http.idle_closed.total"
 #: Live admitted requests (gauge).
 SERVE_ACTIVE = "serve.active"
 #: Dynamic family: one counter per admission rejection reason
@@ -116,6 +125,9 @@ SERVE_METRIC_NAMES: tuple[str, ...] = (
     SERVE_HONESTY_VIOLATIONS,
     SERVE_DISCONNECTS,
     SERVE_CONNECTION_RESETS,
+    SERVE_HEAD_TOO_LARGE,
+    SERVE_REQUEST_TIMEOUTS,
+    SERVE_IDLE_CLOSED,
     SERVE_ACTIVE,
     SERVE_SUBSCRIPTIONS_TOTAL,
     SERVE_SUBSCRIPTION_DELTAS,

@@ -289,7 +289,11 @@ def parse_update_batch(payload: dict) -> "list":
 # payloads
 # --------------------------------------------------------------------- #
 def approx_payload(result: ApproxKSPRResult) -> dict[str, Any]:
-    """The phase-one event: estimate, confidence interval, contract."""
+    """The phase-one event: estimate, confidence interval, contract.
+
+    The interval is computed once; ``meets`` is :meth:`ApproxKSPRResult.meets`
+    read off that interval.
+    """
     lower, upper = result.confidence_interval()
     return {
         "phase": "approx",
@@ -300,7 +304,7 @@ def approx_payload(result: ApproxKSPRResult) -> dict[str, Any]:
         "hits": result.hits,
         "epsilon": result.epsilon,
         "delta": result.delta,
-        "meets": result.meets(),
+        "meets": (upper - lower) / 2.0 <= result.epsilon,
         "mode": result.mode,
         "seed": result.seed,
         "k": result.k,

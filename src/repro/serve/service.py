@@ -13,7 +13,10 @@ entry points:
   :meth:`~repro.engine.Engine.canonical_key`), and a refinement nobody is
   waiting for any more — every client disconnected — is cancelled
   cooperatively, leaving a resumable engine checkpoint instead of burning
-  the pool.
+  the pool.  A phase whose answer the engine already caches is served on the
+  event loop by a lookup that never computes or waits on the engine lock
+  (``Engine.query(..., cached_only=True)``); only a miss or a contended lock
+  hops to the pool, and an exact hit starts no refinement at all.
 * :meth:`KSPRService.stream` — the anytime path: bridges the engine's
   blocking :meth:`~repro.engine.Engine.query_stream` generator into an async
   iterator of ``(event, payload)`` pairs, propagating the request deadline
@@ -25,10 +28,11 @@ checkout, traced with a ``serve.*`` span, and measured into the service's
 latency, admission verdicts, two-phase honesty).
 
 **Honesty accounting.**  For every served approximate answer whose contract
-held (``approx.meets()``), the service checks on refinement completion that
-the exact impact lies inside the approximate confidence interval
-(``approx.covers(exact)``) and counts ``serve.honesty.checked`` /
-``serve.honesty.violations``.  Coverage is a *statistical* guarantee — a
+held (``approx.meets()``), the service checks on refinement completion (or
+at once, for a cached exact answer) that the exact impact lies inside the
+approximate confidence interval (``approx.covers(exact)``) and counts
+``serve.honesty.checked`` / ``serve.honesty.violations``.  Coverage is a
+*statistical* guarantee — a
 ``(1 - delta)`` interval may miss with probability up to ``delta`` per
 unique query, and a skewed replay repeats that deterministic miss for every
 hit on the same key — so the load benchmark bounds the violation rate
@@ -189,11 +193,12 @@ class TwoPhaseAnswer:
     """The result of :meth:`KSPRService.answer`: approx now, exact later.
 
     ``approx`` and ``ttfa`` (time-to-first-answer, seconds) are available
-    immediately; :meth:`refined` awaits the background exact phase.  The
-    answer must be closed when the client goes away — :meth:`close` detaches
-    from the shared refinement (cancelling it if this was the last waiter)
-    and releases the admission checkout, so a disconnect never leaks
-    capacity.  Usable as an async context manager.
+    immediately; :meth:`refined` awaits the background exact phase.  When the
+    exact answer was already cached, ``exact`` carries it and no refinement
+    runs.  The answer must be closed when the client goes away —
+    :meth:`close` detaches from the shared refinement (cancelling it if this
+    was the last waiter) and releases the admission checkout, so a
+    disconnect never leaks capacity.  Usable as an async context manager.
     """
 
     def __init__(
@@ -204,10 +209,13 @@ class TwoPhaseAnswer:
         ttfa: float,
         checkout: Checkout,
         handle: _RefinementHandle | None,
+        exact: KSPRResult | None = None,
     ) -> None:
         self.request = request
         self.approx = approx
         self.ttfa = ttfa
+        #: The exact answer when it was a cache hit at answer time, else None.
+        self.exact = exact
         self._service = service
         self._checkout = checkout
         self._handle = handle
@@ -215,13 +223,13 @@ class TwoPhaseAnswer:
 
     @property
     def will_refine(self) -> bool:
-        """Whether a background exact refinement is attached."""
-        return self._handle is not None
+        """Whether an exact phase follows: a cached answer or a refinement."""
+        return self.exact is not None or self._handle is not None
 
     async def refined(self) -> KSPRResult | None:
         """Await the exact refinement (``None`` if it was cancelled)."""
         if self._handle is None:
-            return None
+            return self.exact
         return await asyncio.wrap_future(self._handle.waiter())
 
     def close(self) -> None:
@@ -390,10 +398,17 @@ class KSPRService:
         if done.cancelled() or done.exception() is not None:
             return
         exact = done.result()
-        if exact is None or not approx.meets():
+        if exact is not None:
+            self._score_honesty(approx, exact)
+
+    def _score_honesty(self, approx: ApproxKSPRResult, exact: KSPRResult) -> None:
+        """Count one honesty check when ``approx.meets()``, and a violation when
+        its interval misses the exact impact (one interval computed for both)."""
+        lower, upper = approx.confidence_interval()
+        if (upper - lower) / 2.0 > approx.epsilon:
             return
         self._m_honesty_checked.inc()
-        if not approx.covers(exact.impact_probability()):
+        if not lower <= exact.impact_probability() <= upper:
             self._m_honesty_violations.inc()
 
     # ------------------------------------------------------------------ #
@@ -403,10 +418,14 @@ class KSPRService:
         """Serve ``request`` in two phases: sampled estimate now, exact later.
 
         Admits the request (raising
-        :class:`~repro.serve.AdmissionError` when shed), computes the
-        approximate phase on the pool, then — unless ``request.refine`` is
-        false — attaches to the single-flight background refinement for the
-        request's canonical key.  Returns as soon as the estimate exists.
+        :class:`~repro.serve.AdmissionError` when shed) and takes the
+        approximate phase from the engine's cache on the event loop, or
+        computes it on the pool on a miss.  Then — unless ``request.refine``
+        is false — it peeks the cache for the exact answer the same way: a
+        hit rides on the answer (:attr:`TwoPhaseAnswer.exact`) and is scored
+        for honesty at once; a miss attaches to the single-flight background
+        refinement for the request's canonical key.  Returns as soon as the
+        estimate exists.
         """
         span = self.tracer.span(
             "serve.answer", tenant=request.tenant or "(anonymous)", k=int(request.k)
@@ -414,10 +433,11 @@ class KSPRService:
         checkout = self._admit(request)
         started = self.clock()
         spec = request.approx or self.config.approx
+        focal, k = request.focal, int(request.k)
         try:
-            approx = await self._run_blocking(
-                self.engine.query, request.focal, int(request.k), approx=spec
-            )
+            approx = self.engine.query(focal, k, approx=spec, cached_only=True)
+            if approx is None:
+                approx = await self._run_blocking(self.engine.query, focal, k, approx=spec)
         except BaseException:
             checkout.release()
             self._g_active.set(self.admission.active)
@@ -428,20 +448,23 @@ class KSPRService:
         self._m_ttfa.observe(ttfa)
         self._m_answers.inc()
 
-        handle = None
+        exact: KSPRResult | None = None
+        handle: _RefinementHandle | None = None
         if request.refine:
-            handle = self._acquire_refinement(request)
-            handle.future.add_done_callback(
-                lambda done, approx=approx: self._note_honesty(approx, done)
-            )
-        else:
-            # No background phase: the lifecycle ends when the answer closes.
-            pass
+            method = request.method or self.config.refine_method
+            exact = self.engine.query(focal, k, method=method, cached_only=True)
+            if exact is not None:
+                self._score_honesty(approx, exact)
+            else:
+                handle = self._acquire_refinement(request, method)
+                handle.future.add_done_callback(
+                    lambda done, approx=approx: self._note_honesty(approx, done)
+                )
         span.set(outcome="answered", refine=bool(handle is not None))
         span.note(ttfa_seconds=ttfa)
         span.finish()
 
-        answer = TwoPhaseAnswer(self, request, approx, ttfa, checkout, handle)
+        answer = TwoPhaseAnswer(self, request, approx, ttfa, checkout, handle, exact)
         if handle is not None:
             # The checkout must outlive the background phase; release it when
             # the shared refinement settles (idempotent with answer.close()).
@@ -452,9 +475,8 @@ class KSPRService:
         checkout.release()
         self._g_active.set(self.admission.active)
 
-    def _acquire_refinement(self, request: ServeRequest) -> _RefinementHandle:
+    def _acquire_refinement(self, request: ServeRequest, method: str | None) -> _RefinementHandle:
         """Join the in-flight refinement for this key, or launch one."""
-        method = request.method or self.config.refine_method
         key = self.engine.canonical_key(request.focal, int(request.k), method=method)
         with self._flight_lock:
             handle = self._refinements.get(key)

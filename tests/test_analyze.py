@@ -158,6 +158,26 @@ class TestAsync001:
         )
         assert fired(run_rule("ASYNC001", bad), "ASYNC001")
 
+    def test_cache_only_peek_passes_only_with_the_literal_true(self, tmp_path):
+        good = write(
+            tmp_path,
+            "src/repro/serve/peek.py",
+            "async def answer(self, request):\n"
+            "    return self.engine.query(request.focal, request.k, cached_only=True)\n",
+        )
+        assert run_rule("ASYNC001", good).clean
+        bad = write(
+            tmp_path,
+            "src/repro/serve/not_a_peek.py",
+            "async def answer(self, request, flag):\n"
+            "    self.engine.query(request.focal, request.k, cached_only=False)\n"
+            "    self.engine.query(request.focal, request.k, cached_only=flag)\n"
+            "    self.engine.query_stream(request.focal, request.k, cached_only=1)\n",
+        )
+        assert [finding.line for finding in fired(run_rule("ASYNC001", bad), "ASYNC001")] == [
+            2, 3, 4,
+        ]
+
     def test_passes_pool_routed_and_sync_code(self, tmp_path):
         good = write(
             tmp_path,

@@ -110,6 +110,67 @@ class TestIntervals:
         with pytest.raises(InvalidQueryError):
             clopper_pearson_bounds(11, 10, 0.05)
 
+    def test_clopper_pearson_matches_beta_ppf_bit_for_bit(self):
+        from scipy.stats import beta
+
+        # The fixed-size deltas, and the adaptive mode's look deltas
+        # delta / 2^j for the default contract.
+        deltas = [0.2, 0.1, 0.05, 0.01, 1e-4] + [0.05 / 2.0**look for look in range(1, 9)]
+        rng = np.random.default_rng(20231)
+        checked = 0
+        for samples in (1, 2, 3, 7, 10, 64, 100, 999, 10**4, 123_457, 10**6):
+            interior = rng.integers(0, samples + 1, size=4)
+            hits_grid = {0, 1, samples - 1, samples, *(int(h) for h in interior)}
+            for hits in sorted(h for h in hits_grid if 0 <= h <= samples):
+                for delta in deltas:
+                    expected_lower = (
+                        0.0 if hits == 0
+                        else float(beta.ppf(delta / 2.0, hits, samples - hits + 1))
+                    )
+                    expected_upper = (
+                        1.0 if hits == samples
+                        else float(beta.ppf(1.0 - delta / 2.0, hits + 1, samples - hits))
+                    )
+                    assert clopper_pearson_bounds(hits, samples, delta) == (
+                        expected_lower, expected_upper
+                    ), (hits, samples, delta)
+                    checked += 1
+        assert checked > 800
+
+    def test_estimates_never_import_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import asyncio, sys\n"
+            "from repro import ApproxSpec, Engine\n"
+            "from repro.data import independent_dataset\n"
+            "from repro.serve import KSPRService, ServeConfig, ServeRequest\n"
+            "from repro.serve.protocol import approx_payload\n"
+            "engine = Engine(independent_dataset(60, 3, seed=3))\n"
+            "focal = engine.dataset.values[engine.dataset.values.sum(axis=1).argmax()] * 0.98\n"
+            "service = KSPRService(engine, ServeConfig(worker_threads=1,\n"
+            "    approx=ApproxSpec(epsilon=0.1, delta=0.1, seed=1)))\n"
+            "async def go():\n"
+            "    answer = await service.answer(ServeRequest(focal=focal, k=2))\n"
+            "    assert await answer.refined() is not None\n"
+            "    approx_payload(answer.approx)\n"
+            "    answer.close()\n"
+            "    await service.close()\n"
+            "asyncio.run(go())\n"
+            "assert service.registry.counter('serve.honesty.checked.total').value == 1\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_interval_method_dispatch(self):
         data = independent_dataset(50, 3, seed=7)
         result = sample_kspr(data, _competitive_focal(data), 3, samples=500, seed=1)

@@ -10,7 +10,9 @@ DET001    No unseeded RNG construction or legacy global-RNG draws — the
           bit-identical-results contract of the sampler and the workloads.
 ASYNC001  No blocking calls lexically inside ``async def`` in
           ``repro.serve`` — blocking work must route through the worker
-          pool or the p99 story dies on the event loop.
+          pool or the p99 story dies on the event loop.  An engine call
+          passing the literal ``cached_only=True`` is a cache peek and
+          may stay on the loop.
 OBS001    Every metric-name literal passed to a Counter/Gauge/Histogram
           accessor must appear in the canonical catalogue
           (``repro.obs.names``) — one canonical dotted name per number.
@@ -258,6 +260,22 @@ class AsyncBlockingRule(Rule):
             yield node
             stack.extend(ast.iter_child_nodes(node))
 
+    @staticmethod
+    def _cache_only(call: ast.Call) -> bool:
+        """Whether the call passes the literal ``cached_only=True``.
+
+        ``Engine.query(..., cached_only=True)`` returns a cached answer or
+        ``None`` and never computes or waits on the engine lock, so it may
+        run on the event loop.  Only the literal counts: a variable could be
+        false at run time.
+        """
+        return any(
+            keyword.arg == "cached_only"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is True
+            for keyword in call.keywords
+        )
+
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         assert ctx.tree is not None
         for func in ast.walk(ctx.tree):
@@ -279,6 +297,7 @@ class AsyncBlockingRule(Rule):
                 if (
                     isinstance(node.func, ast.Attribute)
                     and node.func.attr in _ENGINE_BLOCKING_ATTRS
+                    and not self._cache_only(node)
                 ):
                     yield self.diagnostic(
                         ctx,
