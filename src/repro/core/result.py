@@ -38,7 +38,12 @@ __all__ = [
     "PartialKSPRResult",
     "FrontierCell",
     "QueryStats",
+    "SECONDS_PER_PAGE",
 ]
+
+#: Seconds charged per simulated random page read: the paper's SSD figure
+#: for its disk-based scenario (Appendix A, Figure 19).
+SECONDS_PER_PAGE = 0.0002
 
 
 @dataclass
@@ -83,12 +88,10 @@ class QueryStats:
         """Accumulate ``seconds`` into the named phase."""
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
-    def io_seconds(self, seconds_per_access: float = 0.0002) -> float:
-        """Simulated I/O time for the disk-based scenario (Appendix A).
-
-        The paper charges 0.2 ms per random page read on SSD; the same default
-        is used here.
-        """
+    def io_seconds(self, seconds_per_access: float = SECONDS_PER_PAGE) -> float:
+        """Simulated I/O time for the disk-based scenario (Appendix A): one
+        random page read per R-tree node access, at :data:`SECONDS_PER_PAGE`
+        unless ``seconds_per_access`` says otherwise."""
         return self.index_node_accesses * seconds_per_access
 
 

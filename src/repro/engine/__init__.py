@@ -9,7 +9,8 @@ subsystem is the serving layer on top of the same algorithms:
   an LRU result cache and precise, update-aware invalidation;
 * :class:`QueryBatch` / :func:`run_batch` — concurrent execution of
   independent queries with aggregated statistics;
-* :class:`ResultCache` — the LRU cache (exposed for inspection and tests);
+* :class:`ResultCache` — the one LRU store behind the engine's answers,
+  paused streams and prepared state (exposed for inspection and tests);
 * :func:`generate_workload` / :func:`replay` — Zipf-skewed, mixed-``k``
   workload traces for load testing and benchmarks.
 
@@ -30,7 +31,7 @@ False
 """
 
 from .batch import BatchReport, QueryBatch, QueryOutcome, QuerySpec, run_batch
-from .cache import CacheEntry, PartialEntry, PartialStore, ResultCache, options_key
+from .cache import CacheEntry, ResultCache, options_key
 from .engine import Engine
 from .workload import Workload, WorkloadQuery, generate_workload, replay, zipf_weights
 
@@ -38,8 +39,6 @@ __all__ = [
     "Engine",
     "ResultCache",
     "CacheEntry",
-    "PartialStore",
-    "PartialEntry",
     "options_key",
     "QueryBatch",
     "QuerySpec",

@@ -16,7 +16,9 @@ on every call:
   reused by later queries (:class:`~repro.core.base.PreparedQuery`).
 * **result caching** — an LRU :class:`~repro.engine.cache.ResultCache` keyed
   on ``(dataset fingerprint, focal, k, method, options)`` returns previously
-  computed answers outright.
+  computed answers outright.  Paused streams and prepared state live in two
+  more instances of the same store, under keys that also start with the
+  fingerprint.
 * **incremental updates** — :meth:`Engine.insert` / :meth:`Engine.delete`
   patch the dominator counts, the shared aggregate R-tree and the caches in
   place.  Cache entries are invalidated *only* when the updated record can
@@ -62,20 +64,19 @@ alias — and rules 1–4 govern its invalidation exactly as for exact answers.
 of :class:`~repro.core.result.PartialKSPRResult` snapshots (regions are
 yielded as soon as Lemma 5 certifies them) under a ``deadline`` /
 ``max_batches`` / cancellation budget.  A truncated stream is checkpointed in
-a :class:`~repro.engine.cache.PartialStore` keyed exactly like the result
-cache (fingerprint, focal, k, method, tolerance-aware options), so
-re-issuing the query warm-starts from the paused frontier; a completed
-stream installs its result in the ordinary result cache, where subsequent
-:meth:`query` calls hit.  Partial checkpoints obey the same rules 1–4 on
-updates: entries the update provably cannot affect stay resumable, the rest
-are dropped.
+the paused-stream store under the result cache's key (fingerprint, focal, k,
+method, tolerance-aware options), so re-issuing the query warm-starts from
+the paused frontier; a completed stream installs its result in the result
+cache, where subsequent :meth:`query` calls hit.  Checkpoints obey the same
+rules 1–4 on updates: entries the update provably cannot affect stay
+resumable, the rest are closed and dropped.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -87,7 +88,6 @@ from ..core.bounds import BoundsMode
 from ..core.query import check_options, method_space, open_query, resolve_method, validate_query
 from ..core.result import KSPRResult, PartialKSPRResult
 from ..exceptions import InvalidDatasetError, InvalidQueryError, ReproError, SnapshotError
-from ..geometry.halfspace import Hyperplane
 from ..index.dominance import order_masks
 from ..index.rtree import AggregateRTree
 from ..index.skyline import SkybandDelta, SkybandIndex
@@ -97,7 +97,7 @@ from ..obs.profile import QueryProfile
 from ..obs.trace import Tracer, current_tracer, use_tracer
 from ..records import Dataset, FocalPartition
 from ..robust import Tolerance, resolve_tolerance
-from .cache import CacheEntry, PartialEntry, PartialStore, ResultCache, options_key
+from .cache import CacheEntry, ResultCache, options_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..live.session import LiveSession
@@ -107,12 +107,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = ["Engine"]
 
-#: The counters the engine itself keeps, under their catalogued names; the
-#: result cache and the partial store keep the rest (see :meth:`Engine.metrics`).
+#: The counters the engine itself keeps, under their catalogued names; its
+#: three stores keep the rest (see :meth:`Engine.metrics`).
 _ENGINE_COUNTERS = (
-    "engine.queries", "engine.queries.cold", "engine.prepared.builds",
-    "engine.prepared.reuses", "engine.updates.inserts", "engine.updates.deletes",
-    "engine.result_cache.adopted", "engine.stream.queries",
+    "engine.queries", "engine.queries.cold", "engine.updates.inserts",
+    "engine.updates.deletes", "engine.result_cache.adopted", "engine.stream.queries",
 )
 
 #: The :meth:`Engine.metrics` names exported as gauges; the rest are counters.
@@ -126,10 +125,11 @@ _GAUGES = frozenset((
 
 @dataclass(slots=True)
 class _Plan:
-    """One query resolved once by :meth:`Engine._plan`: every serving path reads
-    its method, canonical options, dataset state, space, pruning and key here.
-    ``run`` is the sampling estimator's function; exact methods run through
-    their opener (:func:`repro.core.query.open_query`).
+    """One query resolved once by :meth:`Engine._plan`: every serving path and
+    :mod:`repro.live` read its method, canonical options, dataset state,
+    space, pruning and key here.  ``run`` is the sampling estimator's
+    function; exact methods run through their opener
+    (:func:`repro.core.query.open_query`).
     """
 
     method: str
@@ -144,9 +144,18 @@ class _Plan:
     pruned: bool
 
     @property
+    def identity(self) -> tuple:
+        """The state-free part of the key: focal bytes, ``k``, method, options."""
+        return (self.focal.tobytes(), self.k, self.method, self.opts)
+
+    @property
     def key(self) -> tuple:
-        """The result-cache and partial-store key of this query."""
-        return (self.fingerprint, self.focal.tobytes(), self.k, self.method, self.opts)
+        """The key of this query's answer and paused stream."""
+        return (self.fingerprint, *self.identity)
+
+    def entry(self, value, capture: bool = True) -> CacheEntry:
+        """A store entry holding ``value`` (an answer or a paused stream) under :attr:`key`."""
+        return CacheEntry(self.key, self.focal, self.k, self.pruned, value, capture)
 
     def rebase(self, snapshot: Dataset) -> None:
         """Re-key onto ``snapshot``, the state the prepared entry describes."""
@@ -154,15 +163,8 @@ class _Plan:
         self.fingerprint = snapshot.fingerprint()
 
 
-@dataclass
-class _PreparedEntry:
-    """A cached :class:`PreparedQuery` plus the metadata to invalidate it."""
-
-    prepared: PreparedQuery
-    focal: np.ndarray
-    k: int
-    space: str
-    pruned: bool
+class _HyperplaneCache(dict):
+    """One focal's record → hyperplane map; a dict that can be weakly referenced."""
 
 
 class _BackingView:
@@ -299,10 +301,13 @@ class Engine:
         self._snapshot = dataset
         self._shared_tree = AggregateRTree(dataset, fanout=self._fanout)
         self._result_cache = ResultCache(result_cache_size)
-        self._partials = PartialStore(partial_cache_size)
-        self._prepared_capacity = int(prepared_cache_size)
-        self._prepared: OrderedDict[tuple, _PreparedEntry] = OrderedDict()
-        self._hyperplanes: dict[tuple, dict[int, Hyperplane]] = {}
+        self._partials = ResultCache(partial_cache_size)
+        self._prepared = ResultCache(int(prepared_cache_size))
+        # A focal's exact prepared entries share one hyperplane cache, which
+        # lives exactly as long as the last entry (or paused stream) holding it.
+        self._hyperplanes: weakref.WeakValueDictionary[tuple, _HyperplaneCache] = (
+            weakref.WeakValueDictionary()
+        )
         self._used_ids = {int(record_id) for record_id in dataset.ids}
         self._next_id = dataset.next_record_id()
         # Explicit-id inserts below this floor are rejected.  0 for a fresh
@@ -375,17 +380,18 @@ class Engine:
         """Default numerical policy of this engine (None = library default)."""
         return self._tolerance
 
-    def _effective_options(self, options: dict, method_name: str | None = None) -> dict:
+    def _effective_options(self, options: dict, method_name: str, spec=None) -> dict:
         """Canonical per-query options: engine defaults applied, values resolved.
 
         The engine-level tolerance is injected when the query did not pass its
         own; whatever tolerance ends up in effect is resolved to a
         :class:`~repro.robust.Tolerance` so the cache key is canonical (a
         float and its equivalent policy never produce two entries).  For the
-        sampling method, the accuracy-contract fields are expanded to the
-        full :class:`~repro.approx.ApproxSpec` (defaults included), so the
-        ``approx=`` and ``method="sample"`` spellings of one query always
-        share a single cache entry.
+        sampling method, the accuracy contract — ``spec`` when the query came
+        as ``approx=``, else the contract fields among ``options`` — is
+        expanded once to the full :class:`~repro.approx.ApproxSpec` (defaults
+        included), so the ``approx=`` and ``method="sample"`` spellings of
+        one query always share a single cache entry.
         """
         options = dict(options)
         if "bounds_mode" in options:
@@ -404,12 +410,13 @@ class Engine:
             # drop it so it cannot split the cache key; every contract field
             # (max_samples included) is then expanded to the full spec.
             options.pop("warn", None)
-            overrides = {
-                name: options.pop(name)
-                for name in list(options)
-                if name in ApproxSpec.__dataclass_fields__
-            }
-            options.update(ApproxSpec(**overrides).as_options())
+            if spec is None:
+                spec = ApproxSpec(**{
+                    name: options.pop(name)
+                    for name in list(options)
+                    if name in ApproxSpec.__dataclass_fields__
+                })
+            options.update(spec.as_options())
         return options
 
     def canonical_key(
@@ -448,14 +455,18 @@ class Engine:
     ) -> _Plan:
         """Resolve one query once: method, options, state, space, pruning, key.
 
-        ``approx=`` folds into ``method="sample"`` with the spec's fields as
-        options.  Validation rejects a malformed query and any option the
-        method does not take, before anything is prepared.
+        ``approx=`` folds into ``method="sample"`` with the spec as its
+        accuracy contract.  Validation rejects a malformed query and any
+        option the method does not take, before anything is prepared.
         ``validate=False`` skips it for the callers that only key an answer
-        (:meth:`canonical_key`, :meth:`cached_result`, :meth:`adopt_result`),
-        which never reject a query.  ``fingerprint`` pins the key to a
-        specific dataset state (default: the current one).
+        (:meth:`canonical_key`, :meth:`cached_result`, :meth:`adopt_result`,
+        :mod:`repro.live`), which never reject a query.  ``fingerprint`` pins
+        the key to a specific dataset state (default: the current one).
+
+        Takes no lock: the snapshot is one reference load, and
+        :meth:`_prepared_for` re-bases a plan that an update raced.
         """
+        spec = None
         if approx is not None:
             from ..approx.estimator import ApproxSpec  # local import: engine <-> approx
 
@@ -473,16 +484,14 @@ class Engine:
                     "one place"
                 )
             method = "sample"
-            options = {**spec.as_options(), **options}
         method_name, method_func = resolve_method(method or self._default_method)
-        with self._lock:
-            snapshot = self._snapshot
+        snapshot = self._snapshot
         if validate:
             focal_array = validate_query(snapshot, focal, k)
             check_options(method_name, options)
         else:
             focal_array = np.asarray(focal, dtype=float)
-        options = self._effective_options(options, method_name)
+        options = self._effective_options(options, method_name, spec)
         space = method_space(method_name, options)
         return _Plan(
             method=method_name,
@@ -552,20 +561,18 @@ class Engine:
     ) -> KSPRResult | ApproxKSPRResult | None:
         """One result-cache lookup that never computes: the cached answer or None.
 
-        The lookup body of :meth:`cached_result` and ``query(cached_only=True)``.
-        The plan and the lookup run under one acquisition of the engine lock,
-        and a hit counts as a served query.  ``wait=False`` is the
-        event-loop peek: a contended lock reads as a miss, and a miss counts
-        nothing, because its caller then runs the full :meth:`query`, which
-        counts it.
+        The lookup body of :meth:`cached_result` and ``query(cached_only=True)``;
+        a hit counts as a served query.  ``wait=False`` is the event-loop
+        peek: a contended lock reads as a miss, and a miss counts nothing,
+        because its caller then runs the full :meth:`query`, which counts it.
         """
+        key = self._plan(focal, k, method, options, **plan_options).key
         if not self._lock.acquire(blocking=wait):
             return None
         try:
-            plan = self._plan(focal, k, method, options, **plan_options)
-            if not wait and plan.key not in self._result_cache:
+            if not wait and key not in self._result_cache:
                 return None
-            cached = self._result_cache.get(plan.key)
+            cached = self._result_cache.get(key)
             if cached is not None:
                 self._counters["engine.queries"] += 1
             return cached
@@ -609,15 +616,18 @@ class Engine:
         ``engine.result_cache.hits``, ``engine.partial_store.saved``, …),
         shared with the exporters and the experiment harness; the names are
         :data:`repro.obs.names.ENGINE_METRIC_NAMES`, in sorted order.  The
-        engine keeps its own counters; the result cache and the partial
-        store are authoritative for theirs.
+        engine keeps its own counters; its three stores are authoritative
+        for theirs.
         """
         with self._lock:
-            cache, partials = self._result_cache, self._partials
+            cache, partials, prepared = self._result_cache, self._partials, self._prepared
             values = {
                 **self._counters,
-                "engine.prepared.entries": len(self._prepared),
-                "engine.prepared.capacity": self._prepared_capacity,
+                # A registered build is a put under a new key; a reuse is a hit.
+                "engine.prepared.builds": prepared.insertions,
+                "engine.prepared.reuses": prepared.hits,
+                "engine.prepared.entries": len(prepared),
+                "engine.prepared.capacity": prepared.capacity,
                 "engine.dataset.cardinality": self._snapshot.cardinality,
                 "engine.result_cache.entries": len(cache),
                 "engine.result_cache.capacity": cache.capacity,
@@ -631,11 +641,11 @@ class Engine:
                 # catalogued under two names.
                 "engine.result_cache.retained": cache.rekeyed,
                 "engine.result_cache.rekeyed": cache.rekeyed,
-                "engine.stream.resumes": partials.resumes,
-                "engine.partial_store.resumes": partials.resumes,
+                "engine.stream.resumes": partials.checkouts,
+                "engine.partial_store.resumes": partials.checkouts,
                 "engine.partial_store.entries": len(partials),
                 "engine.partial_store.capacity": partials.capacity,
-                "engine.partial_store.saved": partials.saves,
+                "engine.partial_store.saved": partials.puts,
                 "engine.partial_store.evictions": partials.evictions,
                 "engine.partial_store.invalidated": partials.invalidated,
             }
@@ -766,11 +776,11 @@ class Engine:
             query_span.set(cache="miss")
 
             with tracer.span("engine.prepare") as prepare_span:
-                entry = self._prepared_for(plan, build_tree=plan.method != "sample_kspr")
+                prepared = self._prepared_for(plan, build_tree=plan.method != "sample_kspr")
                 prepare_span.set(
                     space=plan.space,
-                    pruned=entry.pruned,
-                    competitors=int(entry.prepared.partition.competitors.cardinality),
+                    pruned=plan.pruned,
+                    competitors=int(prepared.partition.competitors.cardinality),
                 )
 
             with tracer.span("engine.execute") as execute_span:
@@ -782,14 +792,14 @@ class Engine:
                     # stripped by _effective_options; chunk substreams make the
                     # estimate identical for every worker count).
                     result = plan.run(
-                        plan.snapshot, plan.focal, plan.k, prepared=entry.prepared,
+                        plan.snapshot, plan.focal, plan.k, prepared=prepared,
                         **plan.options, warn=False, workers=workers,
                     )
                 else:
                     result = drain(
                         open_query(
                             plan.method, plan.snapshot, plan.focal, plan.k, plan.options,
-                            prepared=entry.prepared, pull=Pull(workers=workers),
+                            prepared=prepared, pull=Pull(workers=workers),
                         )
                     )
                 cold_seconds = time.perf_counter() - cold_start
@@ -944,7 +954,7 @@ class Engine:
 
         anytime = None
         if checkpoint is not None:
-            anytime = checkpoint.query
+            anytime = checkpoint.value
             # The suspended producers keep their original capture mode; a
             # re-checkpoint must record that, not the caller's flag.
             capture = checkpoint.capture
@@ -959,7 +969,7 @@ class Engine:
             # is snapshot-for-snapshot identical to the sharded one.
             ticks = 0 if anytime is None else anytime.ticks
             fingerprint = plan.fingerprint
-            entry = self._prepared_for(plan)
+            prepared = self._prepared_for(plan)
             if plan.fingerprint != fingerprint:
                 # An update raced admission or the resume: the plan now
                 # streams against the state the prepared entry describes.  A
@@ -970,7 +980,7 @@ class Engine:
             anytime = AnytimeQuery(
                 *open_query(
                     plan.method, plan.snapshot, plan.focal, plan.k, plan.options,
-                    prepared=entry.prepared, pull=pull,
+                    prepared=prepared, pull=pull,
                 )
             )
             if ticks > 0:
@@ -1005,20 +1015,7 @@ class Engine:
                         self._snapshot.fingerprint() == plan.fingerprint
                         and plan.key not in self._result_cache
                     ):
-                        self._partials.put(
-                            PartialEntry(
-                                fingerprint=plan.fingerprint,
-                                focal=plan.focal,
-                                k=plan.k,
-                                method=plan.method,
-                                opts=plan.opts,
-                                query=anytime,
-                                pruned=plan.pruned,
-                                capture=capture,
-                                options=dict(plan.options),
-                                workers=workers,
-                            )
-                        )
+                        self._partials.put(plan.entry(anytime, capture))
                         if tracer.enabled:
                             saved = tracer.span(
                                 "engine.stream.checkpoint", method=plan.method, k=plan.k
@@ -1038,17 +1035,7 @@ class Engine:
         with self._lock:
             if plan.fingerprint != self._snapshot.fingerprint():
                 return False
-            self._result_cache.put(
-                CacheEntry(
-                    fingerprint=plan.fingerprint,
-                    focal=plan.focal,
-                    k=plan.k,
-                    method=plan.method,
-                    opts=plan.opts,
-                    result=result,
-                    pruned=plan.pruned,
-                )
-            )
+            self._result_cache.put(plan.entry(result))
             self._partials.discard(plan.key)
             return True
 
@@ -1087,7 +1074,7 @@ class Engine:
             return self._committed_parent
 
     def commit(self, store: "SnapshotStore", parent: str | None = None) -> str:
-        """Persist the current dataset state — and both caches — to ``store``.
+        """Persist the current dataset state, its answers and paused streams to ``store``.
 
         Commits the live dataset as an immutable, content-addressed snapshot
         (idempotent: an unchanged state dedupes onto its existing id) and
@@ -1126,14 +1113,14 @@ class Engine:
         recipes, see :class:`~repro.snapshot.ReplayCheckpoint`).
 
         ``replay_to`` names a *newer* snapshot in the same store: the
-        insert/delete diff between the two versions is replayed through the
-        ordinary :meth:`insert` / :meth:`delete` path, so the restored
-        caches are reconciled by the precise rules-1-4 invalidation —
-        entries the interim updates provably cannot affect keep serving —
-        instead of being flushed wholesale.  If the replay cannot reproduce
-        the target state exactly (verified against the committed
-        fingerprint), the engine falls back to a plain checkout of
-        ``replay_to``, trading the caches for guaranteed-correct state.
+        insert/delete diff between the two versions is applied as one
+        :meth:`apply_updates` batch, so the restored caches are reconciled by
+        the precise rules-1-4 invalidation — entries the interim updates
+        provably cannot affect keep serving — instead of being flushed
+        wholesale.  If the replay cannot reproduce the target state exactly
+        (verified against the committed fingerprint), the engine falls back
+        to a plain checkout of ``replay_to``, trading the caches for
+        guaranteed-correct state.
 
         ``snapshot_id`` defaults to the store's latest commit;
         ``engine_options`` are forwarded to the constructor (method, k_max,
@@ -1149,15 +1136,17 @@ class Engine:
         for entry in store.load_partial_entries(snapshot_id):
             engine._partials.put(entry)
         if replay_to is not None and replay_to != snapshot_id:
+            from ..live.updates import UpdateOp  # local: engine <-> live
+
             target = store.meta(replay_to)
             try:
                 diff = store.diff(snapshot_id, replay_to)
-                for update in diff.updates:
-                    if update.op == "delete":
-                        engine.delete(update.record_id)
-                    else:
-                        engine.insert(update.values, record_id=update.record_id)
-                    store.replayed_updates += 1
+                engine.apply_updates([
+                    UpdateOp.delete(update.record_id) if update.op == "delete"
+                    else UpdateOp.insert(update.values, update.record_id)
+                    for update in diff.updates
+                ])
+                store.replayed_updates += len(diff.updates)
                 replayed = engine.fingerprint == target.fingerprint
             except ReproError:
                 # A diff the update path cannot replay (id below the floor,
@@ -1199,7 +1188,7 @@ class Engine:
                 )
             self._id_floor = max(self._id_floor, watermark)
 
-    def _prepared_for(self, plan: _Plan, build_tree: bool = True) -> _PreparedEntry:
+    def _prepared_for(self, plan: _Plan, build_tree: bool = True) -> PreparedQuery:
         """Fetch or build the prepared state for ``plan``'s ``(focal, k, space)``.
 
         Re-keys ``plan`` onto the dataset snapshot the entry is consistent
@@ -1210,10 +1199,10 @@ class Engine:
         always describe one dataset state; only the expensive R-tree build
         runs unlocked.
 
-        Entries are keyed on the *band* rather than ``k`` directly: pruned
-        entries depend on ``k`` (the competitor set is the k-skyband slice),
-        but unpruned ones (``k > k_max`` or pruning disabled) share a single
-        competitor tree across every ``k``.
+        Entries are keyed on the fingerprint and the *band* rather than ``k``
+        directly: pruned entries depend on ``k`` (the competitor set is the
+        k-skyband slice), but unpruned ones (``k > k_max`` or pruning
+        disabled) share a single competitor tree across every ``k``.
 
         ``build_tree=False`` (the sampling path) prepares only the focal
         partition: the sampler never reads the competitor R-tree or the
@@ -1224,29 +1213,22 @@ class Engine:
         """
         focal, k, space, pruned = plan.focal, plan.k, plan.space, plan.pruned
         band = k if pruned else 0
-        pkey = (focal.tobytes(), band, space) if build_tree else (
-            focal.tobytes(), band, space, "sample"
-        )
         prepare_start = time.perf_counter()
         with self._lock:
             snapshot = self._snapshot
-            entry = self._reuse_prepared(pkey)
+            key = (snapshot.fingerprint(), focal.tobytes(), band, space, build_tree)
+            entry = self._prepared.touch(key)
             if entry is not None:
                 plan.rebase(snapshot)
-                return entry
+                return entry.value
             # The exact and sampling entries of one (focal, band, space)
             # share the identical pruned partition; reuse the sibling's
             # (valid for exactly the dataset states this entry would be —
             # both are invalidated together by rules 1-4) instead of
             # redoing the O(n d) partition and the skyband filter.
-            sibling_key = (
-                (focal.tobytes(), band, space, "sample")
-                if build_tree
-                else (focal.tobytes(), band, space)
-            )
-            sibling = self._prepared.get(sibling_key)
+            sibling = self._prepared.peek(key[:-1] + (not build_tree,))
             if sibling is not None:
-                partition = sibling.prepared.partition
+                partition = sibling.value.partition
             else:
                 partition = snapshot.partition_by_focal(focal)
                 if pruned:
@@ -1279,51 +1261,20 @@ class Engine:
             # caller (which runs against that snapshot), but never register
             # it — a later query would otherwise mix it with the *new*
             # dataset state.
-            registered = snapshot is self._snapshot
-            entry = self._reuse_prepared(pkey) if registered else None
+            if snapshot is not self._snapshot:
+                return PreparedQuery(partition, tree)
+            entry = self._prepared.touch(key)
             if entry is not None:
-                return entry
+                return entry.value
             hyperplanes = None
-            if build_tree and registered:
-                hyperplanes = self._hyperplanes.setdefault((focal.tobytes(), space), {})
-            entry = _PreparedEntry(
-                prepared=PreparedQuery(partition, tree, hyperplanes),
-                focal=focal.copy(),
-                k=band,
-                space=space,
-                pruned=pruned,
-            )
-            if registered:
-                self._prepared[pkey] = entry
-                self._counters["engine.prepared.builds"] += 1
-                self._counters["engine.seconds.prepare"] += prepare_seconds
-                while len(self._prepared) > self._prepared_capacity:
-                    _, evicted = self._prepared.popitem(last=False)
-                    self._drop_hyperplanes_if_unused(evicted)
-            return entry
-
-    def _reuse_prepared(self, pkey: tuple) -> _PreparedEntry | None:
-        """The registered prepared entry under ``pkey`` (refreshed, counted), or None."""
-        entry = self._prepared.get(pkey)
-        if entry is not None:
-            self._prepared.move_to_end(pkey)
-            self._counters["engine.prepared.reuses"] += 1
-        return entry
-
-    def _drop_hyperplanes_if_unused(self, evicted: _PreparedEntry) -> None:
-        """Release a focal's hyperplane cache once nothing references it.
-
-        Only entries that actually hold a hyperplane cache count as
-        references — tree-less sampling entries never touch it, so they must
-        not pin a focal's hyperplanes alive past the last exact entry.
-        """
-        hkey = (evicted.focal.tobytes(), evicted.space)
-        for entry in self._prepared.values():
-            if entry.prepared.hyperplane_cache is not None and (
-                entry.focal.tobytes(), entry.space
-            ) == hkey:
-                return
-        self._hyperplanes.pop(hkey, None)
+            if build_tree:
+                hyperplanes = self._hyperplanes.setdefault(
+                    (focal.tobytes(), space), _HyperplaneCache()
+                )
+            prepared = PreparedQuery(partition, tree, hyperplanes)
+            self._prepared.put(CacheEntry(key, focal.copy(), band, pruned, prepared))
+            self._counters["engine.seconds.prepare"] += prepare_seconds
+            return prepared
 
     # ------------------------------------------------------------------ #
     # incremental updates
@@ -1538,7 +1489,7 @@ class Engine:
         return _BackingView(values, ids)
 
     def _finish_update_batch(self, deltas: "_BatchDeltas") -> None:
-        """Refresh the snapshot once and reconcile both caches after a batch.
+        """Refresh the snapshot once and reconcile the three stores after a batch.
 
         Every cached answer, paused stream and prepared entry gets one
         rules-1–4 verdict for the whole batch (:meth:`_BatchDeltas.affects`),
@@ -1556,9 +1507,8 @@ class Engine:
         new_fingerprint = self._snapshot.fingerprint()
         self._update_seq += 1
 
-        entries = [
-            *self._result_cache.entries(), *self._partials.entries(), *self._prepared.values()
-        ]
+        stores = (self._result_cache, self._partials, self._prepared)
+        entries = [entry for store in stores for entry in store.entries()]
         focals = np.array([entry.focal for entry in entries], dtype=float)
         verdicts = deltas.affects(
             focals.reshape(len(entries), self.dimensionality),
@@ -1566,20 +1516,10 @@ class Engine:
             np.array([entry.pruned for entry in entries], dtype=bool),
         )
         damaged_ids = {id(entry) for entry, hit in zip(entries, verdicts.tolist()) if hit}
-
-        def damaged(entry) -> bool:
-            return id(entry) in damaged_ids
-
-        self._result_cache.apply_update(new_fingerprint, damaged)
-        # Paused streams follow the same rules 1-4: an update that provably
-        # cannot change an entry's answer cannot change its (pruned)
-        # competitor input either, so the suspended computation stays exactly
-        # the one a cold re-run would perform and the checkpoint is re-keyed;
-        # affected checkpoints are closed and dropped.
-        self._partials.apply_update(new_fingerprint, damaged)
-
-        stale = [pkey for pkey, entry in self._prepared.items() if damaged(entry)]
-        for pkey in stale:
-            evicted = self._prepared.pop(pkey)
-            self._drop_hyperplanes_if_unused(evicted)
+        # An update that provably cannot change an entry's answer cannot
+        # change its (pruned) competitor input either, so a paused stream's
+        # suspended computation and a prepared partition stay exactly what a
+        # cold re-run would build: every store re-keys what it retains.
+        for store in stores:
+            store.reconcile(new_fingerprint, lambda entry: id(entry) in damaged_ids)
 

@@ -25,9 +25,6 @@ from ..obs.metrics import MetricsRegistry, canonical_name, stats_to_registry
 
 __all__ = ["MeasuredRun"]
 
-#: Seconds charged per simulated random page read (the paper's SSD figure).
-SECONDS_PER_PAGE = 0.0002
-
 
 @dataclass
 class MeasuredRun:
@@ -52,7 +49,7 @@ class MeasuredRun:
         """
         stats = result.stats
         snapshot = stats_to_registry(stats, regions=len(result)).snapshot()
-        io_seconds = stats.io_seconds(SECONDS_PER_PAGE)
+        io_seconds = stats.io_seconds()
         metrics = {
             "response_seconds": snapshot["query.seconds.response"],
             "cpu_seconds": snapshot["query.seconds.cpu"],

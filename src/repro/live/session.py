@@ -99,9 +99,8 @@ class LiveSession:
         options: dict,
     ) -> StandingQuery:
         """Create-or-reuse under the engine lock (called by Engine.subscribe)."""
-        key = self.engine.canonical_key(
-            np.asarray(focal, dtype=float), int(k), method, options, fingerprint=""
-        )[1:] + (bool(anytime),)
+        plan = self.engine._plan(focal, k, method, options, validate=False)
+        key = plan.identity + (bool(anytime),)
         with self._lock:
             existing = self._queries.get(key)
         if existing is not None:

@@ -104,18 +104,16 @@ class StandingQuery:
         self._method = method
         self._anytime = bool(anytime)
         self._options = dict(options or {})
-        # State-free identity: the engine's canonical key minus the
-        # fingerprint (standing queries survive snapshot swaps), plus the
-        # mode flag — the serving tier dedupes subscriptions on this.
-        self._key = self._engine.canonical_key(
-            self._focal, self._k, self._method, self._options, fingerprint=""
-        )[1:] + (self._anytime,)
-        if self._key[2] == "sample_kspr" and self._anytime:
+        plan = self._engine._plan(self._focal, self._k, method, self._options, validate=False)
+        if plan.method == "sample_kspr" and self._anytime:
             raise InvalidQueryError(
                 "anytime standing queries need a streaming method; "
                 "method='sample' refines through its own adaptive mode"
             )
-        self._pruned = self._engine.prune_skyband and self._k <= self._engine.k_max
+        # State-free identity (standing queries survive snapshot swaps) plus
+        # the mode flag — the serving tier dedupes subscriptions on this.
+        self._key = plan.identity + (self._anytime,)
+        self._pruned = plan.pruned
         self._lock = threading.RLock()
         self._listeners: list[Callable[[DeltaEvent], None]] = []
         self._log: deque[DeltaEvent] = deque(maxlen=int(log_limit))

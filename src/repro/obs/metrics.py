@@ -78,8 +78,8 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
 ) + (math.inf,)
 
 #: Every legacy spelling -> its canonical dotted name.  The former engine
-#: stats fields, ``ResultCache.info()`` / ``PartialStore.info()`` keys and
-#: ``MeasuredRun`` metric keys all resolve here.
+#: stats fields, the former ``ResultCache.info()`` / ``PartialStore.info()``
+#: keys and ``MeasuredRun`` metric keys all resolve here.
 LEGACY_ALIASES: dict[str, str] = {
     # Former engine stats fields.
     "queries": "engine.queries",
@@ -98,7 +98,7 @@ LEGACY_ALIASES: dict[str, str] = {
     "partials_invalidated": "engine.partial_store.invalidated",
     "cold_seconds": "engine.seconds.cold",
     "prepare_seconds": "engine.seconds.prepare",
-    # ResultCache.info() keys (cache-local counters).
+    # The former ResultCache.info() keys (cache-local counters).
     "hits": "engine.result_cache.hits",
     "misses": "engine.result_cache.misses",
     "insertions": "engine.result_cache.insertions",

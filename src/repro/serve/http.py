@@ -114,6 +114,9 @@ _REQUEST_TIMEOUT = 10.0
 #: Seconds a connection may idle before its next request starts; then it is
 #: closed without a response.
 _IDLE_TIMEOUT = 30.0
+#: Seconds :meth:`ServeServer.stop` lets a busy connection finish its
+#: response before closing it under the response.
+_STOP_GRACE = 5.0
 
 _CHUNKED_END = b"0\r\n\r\n"
 
@@ -250,8 +253,10 @@ class ServeServer:
         self.host = host
         self._requested_port = port
         self._server: asyncio.AbstractServer | None = None
-        #: The connections waiting for their next request, with their tasks.
-        self._idle: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Every open connection, with its task.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: The connections waiting for their next request.
+        self._idle: set[asyncio.StreamWriter] = set()
         self._stopping = False
 
     @property
@@ -278,19 +283,28 @@ class ServeServer:
         """Stop accepting, close idle connections, drain background work,
         shut the service down.
 
-        A connection busy with a response closes once it has sent it.
+        A connection busy with a response closes once it has sent it; one
+        still busy after ``_STOP_GRACE`` seconds (a standing subscription)
+        is closed under its response.  No connection task outlives this call.
         """
         if self._server is not None:
             self._stopping = True
             self._server.close()
-            idle = list(self._idle.values())
             for writer in list(self._idle):
                 writer.close()
+            if self._connections:
+                # Idle reads see the close on a later loop turn; let every
+                # connection end rather than be cancelled when the loop shuts
+                # down.  This comes before wait_closed(): from Python 3.12.1
+                # on, that waits for every connection to drop, so a
+                # subscription left open would block it for good.
+                _, busy = await asyncio.wait(self._connections.values(), timeout=_STOP_GRACE)
+                for writer, task in list(self._connections.items()):
+                    if task in busy:
+                        writer.close()
+                if busy:
+                    await asyncio.wait(busy)
             await self._server.wait_closed()
-            if idle:
-                # Their reads see the close on a later loop turn; let them end
-                # rather than be cancelled when the loop shuts down.
-                await asyncio.wait(idle)
             self._server = None
         await self.service.close()
 
@@ -306,6 +320,7 @@ class ServeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections[writer] = asyncio.current_task()
         try:
             while not self._stopping:
                 exchange = _Exchange(writer, keep_alive=False)
@@ -328,6 +343,8 @@ class ServeServer:
                 await writer.wait_closed()
             except ConnectionError as error:
                 self._record_reset(None, "closing", error)
+            finally:
+                del self._connections[writer]
 
     async def _respond(
         self, method: str, path: str, body: bytes, reader: asyncio.StreamReader, exchange: _Exchange
@@ -377,7 +394,7 @@ class ServeServer:
         when the request cannot be read; the connection then closes.
         """
         idle = _Deadline(_IDLE_TIMEOUT)
-        self._idle[writer] = idle.task
+        self._idle.add(writer)
         try:
             first = await reader.read(1)
         except asyncio.CancelledError as error:
@@ -385,7 +402,7 @@ class ServeServer:
             first = b""
         finally:
             idle.cancel()
-            del self._idle[writer]
+            self._idle.discard(writer)
         if idle.expired:
             self.service.registry.counter(
                 SERVE_IDLE_CLOSED, "kept-alive connections closed after idling"

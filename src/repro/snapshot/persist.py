@@ -1,38 +1,41 @@
 """Serialisation of engine cache state keyed on committed snapshots.
 
-The engine's two caches survive a process restart through this module:
+The engine's answers and paused streams survive a process restart through
+this module:
 
-* **Result cache** — :class:`~repro.engine.cache.CacheEntry` objects pickle
-  directly (a :class:`~repro.core.result.KSPRResult` already crosses process
-  boundaries in :mod:`repro.parallel`), so the entries are persisted as-is,
-  LRU order preserved.
+* **Answers** — result-cache :class:`~repro.engine.cache.CacheEntry`
+  objects pickle directly (a :class:`~repro.core.result.KSPRResult` already
+  crosses process boundaries in :mod:`repro.parallel`), so the entries are
+  persisted as-is, LRU order preserved.
 
 * **Paused streams** — a live :class:`~repro.stream.AnytimeQuery` holds a
   suspended generator frame (CellTree, frontier, certified cells), which no
   serialiser can capture.  Persistence therefore stores the **replay
-  recipe** instead: the stream's canonical options plus the number of work
-  units already consumed (:class:`ReplayCheckpoint`).  Because the tick
-  stream of a kSPR query is deterministic for fixed (dataset state, focal,
-  k, method, options), a restarted engine rebuilds the stream through its
-  ordinary cold path and fast-forwards exactly ``ticks`` units — landing on
-  the same suspended frontier the original process held, after which the
-  resumed run is byte-identical to an uninterrupted one.
+  recipe** instead: the number of work units already consumed
+  (:class:`ReplayCheckpoint`).  Because the tick stream of a kSPR query is
+  deterministic for fixed (dataset state, focal, k, method, options), a
+  restarted engine rebuilds the stream through its ordinary cold path and
+  fast-forwards exactly ``ticks`` units — landing on the same suspended
+  frontier the original process held, after which the resumed run is
+  byte-identical to an uninterrupted one.
 
-Every load path is defensive: a missing, truncated or undecodable cache
-file yields an empty list (cache persistence is an optimisation, never a
-correctness requirement), and entries whose fingerprint disagrees with the
-committed snapshot are dropped rather than trusted.
+Every load path is defensive: a missing, truncated, undecodable or
+older-version cache file yields an empty list (cache persistence is an
+optimisation, never a correctness requirement), and entries whose
+fingerprint disagrees with the committed snapshot are dropped rather than
+trusted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from ..engine.cache import CacheEntry, PartialEntry
+    from ..engine.cache import CacheEntry
     from .store import SnapshotStore
 
 __all__ = [
@@ -45,72 +48,55 @@ __all__ = [
     "load_standing_records",
 ]
 
-#: Version tag embedded in every pickled cache payload.
-_CACHE_FORMAT = 1
+#: Version tag of the pickled answer and paused-stream payloads.  Version 2
+#: pickles the one :class:`~repro.engine.cache.CacheEntry` shape; a version-1
+#: file restores as a cold cache.
+_CACHE_FORMAT = 2
+#: Version tag of the standing-registration payloads, whose shape never
+#: changed: registrations written under version 1 still re-arm.
+_STANDING_FORMAT = 1
 
 
 @dataclass
 class ReplayCheckpoint:
-    """A paused anytime stream, described by how to replay it.
+    """A paused anytime stream, described by how far to replay it.
 
-    Stands in for the live :class:`~repro.stream.AnytimeQuery` inside a
-    restored :class:`~repro.engine.cache.PartialEntry`: on the first resume
-    after a restart the engine rebuilds the stream from ``options`` via its
-    cold path and drains exactly ``ticks`` work units before handing it to
-    the consumer.  ``capture`` preserves the original frontier-capture mode
-    (a no-capture recipe must not silently serve bracket-reading callers);
-    ``workers`` is informational — replays always run the serial path,
-    whose tick stream is snapshot-for-snapshot identical to the sharded
-    one.
+    Stands in for the live :class:`~repro.stream.AnytimeQuery` as the value
+    of a restored paused-stream entry: on the first resume after a restart
+    the engine rebuilds the stream through its cold path (the entry's key
+    holds the canonical options) and drains exactly ``ticks`` work units
+    before handing it to the consumer.  The entry's ``capture`` keeps the
+    original frontier-capture mode; replays always run the serial path,
+    whose tick stream is snapshot-for-snapshot identical to the sharded one.
     """
 
     ticks: int
-    options: dict = field(default_factory=dict)
-    capture: bool = True
-    workers: int | None = None
-
-    def close(self) -> None:
-        """Recipes hold no live resources; closing is a no-op.
-
-        Present so a restored :class:`PartialEntry` can be evicted or
-        invalidated through the exact code path a live checkpoint takes.
-        """
 
 
-def checkpoint_of(entry: "PartialEntry") -> ReplayCheckpoint | None:
-    """The replay recipe of one partial entry, or None if unrecorded.
+def checkpoint_of(entry: "CacheEntry") -> ReplayCheckpoint | None:
+    """The replay recipe of one paused-stream entry, or None if unrecorded.
 
-    A restored-but-never-resumed entry already carries a recipe in its
-    ``query`` slot and re-persists verbatim; a live suspended stream is
-    described by its recorded options and its
-    :attr:`~repro.stream.AnytimeQuery.ticks_consumed` cursor.  Entries
-    predating options recording (``options is None``) cannot be replayed
-    and are skipped.
+    A restored-but-never-resumed entry already holds a recipe and
+    re-persists verbatim; a live suspended stream is described by its
+    :attr:`~repro.stream.AnytimeQuery.ticks_consumed` cursor.
     """
-    if isinstance(entry.query, ReplayCheckpoint):
-        return entry.query
-    if entry.options is None:
-        return None
-    ticks = getattr(entry.query, "ticks_consumed", None)
-    if ticks is None:
-        return None
-    return ReplayCheckpoint(
-        ticks=int(ticks),
-        options=dict(entry.options),
-        capture=entry.capture,
-        workers=entry.workers,
-    )
+    if isinstance(entry.value, ReplayCheckpoint):
+        return entry.value
+    ticks = getattr(entry.value, "ticks_consumed", None)
+    return None if ticks is None else ReplayCheckpoint(int(ticks))
 
 
-def _dump(store: "SnapshotStore", path: Path, fingerprint: str, records: list) -> None:
+def _dump(
+    store: "SnapshotStore", path: Path, fingerprint: str, records: list, version: int
+) -> None:
     payload = pickle.dumps(
-        {"format": _CACHE_FORMAT, "fingerprint": fingerprint, "entries": records},
+        {"format": version, "fingerprint": fingerprint, "entries": records},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     store._write_atomic(path, payload)
 
 
-def _load(path: Path, fingerprint: str) -> list:
+def _load(path: Path, fingerprint: str, version: int) -> list:
     if not path.exists():
         return []
     try:
@@ -119,7 +105,7 @@ def _load(path: Path, fingerprint: str) -> list:
     # analyze: ignore[EXC001] -- a torn/stale cache file degrades to a cold cache, never an error
     except Exception:
         return []
-    if not isinstance(payload, dict) or payload.get("format") != _CACHE_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != version:
         return []
     if payload.get("fingerprint") != fingerprint:
         return []
@@ -132,7 +118,7 @@ def dump_result_entries(
 ) -> int:
     """Persist result-cache entries matching ``fingerprint``; return the count."""
     matching = [entry for entry in entries if entry.fingerprint == fingerprint]
-    _dump(store, path, fingerprint, matching)
+    _dump(store, path, fingerprint, matching, _CACHE_FORMAT)
     return len(matching)
 
 
@@ -142,7 +128,7 @@ def load_result_entries(path: Path, fingerprint: str) -> "list[CacheEntry]":
 
     return [
         entry
-        for entry in _load(path, fingerprint)
+        for entry in _load(path, fingerprint, _CACHE_FORMAT)
         if isinstance(entry, CacheEntry) and entry.fingerprint == fingerprint
     ]
 
@@ -152,48 +138,26 @@ def dump_partial_entries(
 ) -> int:
     """Persist paused-stream checkpoints as replay recipes; return the count.
 
-    Each persisted record is the original :class:`PartialEntry` with its
-    un-serialisable live query swapped for its :class:`ReplayCheckpoint`;
-    entries without a recorded recipe are skipped (they simply restart
-    cold after a restore — a performance loss, never a wrong answer).
+    Each persisted record is the original entry with its un-serialisable
+    live stream swapped for its :class:`ReplayCheckpoint`; entries without
+    a tick cursor are skipped (they simply restart cold after a restore — a
+    performance loss, never a wrong answer).
     """
-    from ..engine.cache import PartialEntry
-
     records = []
     for entry in entries:
-        if entry.fingerprint != fingerprint:
-            continue
-        recipe = checkpoint_of(entry)
-        if recipe is None:
-            continue
-        records.append(
-            PartialEntry(
-                fingerprint=entry.fingerprint,
-                focal=entry.focal,
-                k=entry.k,
-                method=entry.method,
-                opts=entry.opts,
-                query=recipe,
-                pruned=entry.pruned,
-                capture=entry.capture,
-                options=dict(entry.options) if entry.options is not None else None,
-                workers=entry.workers,
-            )
-        )
-    _dump(store, path, fingerprint, records)
+        recipe = checkpoint_of(entry) if entry.fingerprint == fingerprint else None
+        if recipe is not None:
+            records.append(dataclasses.replace(entry, value=recipe))
+    _dump(store, path, fingerprint, records, _CACHE_FORMAT)
     return len(records)
 
 
-def load_partial_entries(path: Path, fingerprint: str) -> "list[PartialEntry]":
-    """Load persisted stream checkpoints (``query`` holds a :class:`ReplayCheckpoint`)."""
-    from ..engine.cache import PartialEntry
-
+def load_partial_entries(path: Path, fingerprint: str) -> "list[CacheEntry]":
+    """Load persisted stream checkpoints (each value is a :class:`ReplayCheckpoint`)."""
     return [
         entry
-        for entry in _load(path, fingerprint)
-        if isinstance(entry, PartialEntry)
-        and entry.fingerprint == fingerprint
-        and isinstance(entry.query, ReplayCheckpoint)
+        for entry in load_result_entries(path, fingerprint)
+        if isinstance(entry.value, ReplayCheckpoint)
     ]
 
 
@@ -212,7 +176,7 @@ def dump_standing_records(
     query against whatever the restored engine holds.  The fingerprint
     is still embedded as an integrity tag for the defensive loader.
     """
-    _dump(store, path, fingerprint, list(records))
+    _dump(store, path, fingerprint, list(records), _STANDING_FORMAT)
     return len(records)
 
 
@@ -220,6 +184,6 @@ def load_standing_records(path: Path, fingerprint: str) -> list:
     """Load persisted registrations; malformed files/records degrade to none."""
     return [
         record
-        for record in _load(path, fingerprint)
+        for record in _load(path, fingerprint, _STANDING_FORMAT)
         if isinstance(record, dict) and _STANDING_KEYS <= set(record)
     ]

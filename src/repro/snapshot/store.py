@@ -143,9 +143,9 @@ class UpdateRecord:
 
     ``op`` is ``"insert"`` or ``"delete"``; ``values`` carries the record's
     attribute row (for deletes it is informational — the engine deletes by
-    id).  Replaying a :class:`SnapshotDiff`'s records in order through
-    :meth:`Engine.delete` / :meth:`Engine.insert` transforms the base
-    snapshot's state into the target's, byte-identically.
+    id).  Applying a :class:`SnapshotDiff`'s records in order as one
+    :meth:`Engine.apply_updates` batch transforms the base snapshot's state
+    into the target's, byte-identically.
     """
 
     op: str
@@ -560,9 +560,9 @@ class SnapshotStore:
     def load_partial_entries(self, snapshot_id: str) -> list:
         """Persisted paused-stream checkpoints for one snapshot (LRU order).
 
-        Each returned entry carries a
-        :class:`~repro.snapshot.persist.ReplayCheckpoint` in its ``query``
-        slot; the engine rehydrates it into a live stream on first resume.
+        Each returned entry's value is a
+        :class:`~repro.snapshot.persist.ReplayCheckpoint`; the engine
+        rehydrates it into a live stream on first resume.
         """
         from .persist import load_partial_entries
 

@@ -19,9 +19,8 @@ from repro.experiments import (
     select_focal,
     sweep,
 )
-from repro.experiments.diskmodel import DiskCostModel
 from repro.experiments.figures import FIGURES
-from repro.core.result import QueryStats
+from repro.core.result import SECONDS_PER_PAGE, QueryStats
 
 
 @pytest.fixture(scope="module")
@@ -149,12 +148,10 @@ class TestDiskModel:
     def test_cost_breakdown(self):
         stats = QueryStats(index_node_accesses=50)
         stats.response_seconds = 0.5
-        cost = DiskCostModel().cost(stats)
-        assert cost.page_reads == 50
-        assert cost.io_seconds == pytest.approx(0.01)
-        assert cost.total_seconds == pytest.approx(0.51)
+        assert SECONDS_PER_PAGE == 0.0002  # the paper's SSD random read
+        assert stats.io_seconds() == pytest.approx(0.01)
+        assert stats.response_seconds + stats.io_seconds() == pytest.approx(0.51)
 
     def test_custom_latency(self):
         stats = QueryStats(index_node_accesses=10)
-        cost = DiskCostModel(seconds_per_page=0.001).cost(stats)
-        assert cost.io_seconds == pytest.approx(0.01)
+        assert stats.io_seconds(seconds_per_access=0.001) == pytest.approx(0.01)

@@ -558,16 +558,16 @@ class TestIntegration:
         focal = _competitive_focal(dataset)
         engine = Engine(dataset)
         engine.query(focal, 3, approx=ApproxSpec(samples=300, seed=1))
-        trees = [entry.prepared.tree for entry in engine._prepared.values()]
+        trees = [entry.value.tree for entry in engine._prepared.entries()]
         assert trees == [None]
         exact = engine.query(focal, 3)
         assert not isinstance(exact, ApproxKSPRResult)
-        trees = {entry.prepared.tree is None for entry in engine._prepared.values()}
+        trees = {entry.value.tree is None for entry in engine._prepared.entries()}
         assert trees == {True, False}
         # And the exact entry reused the sampling entry's pruned partition
         # (one O(n d) partition pass per focal, not one per mode).
         partitions = {
-            id(entry.prepared.partition) for entry in engine._prepared.values()
+            id(entry.value.partition) for entry in engine._prepared.entries()
         }
         assert len(partitions) == 1
 
@@ -585,7 +585,7 @@ class TestIntegration:
         engine.query(focal_a, 3, approx=ApproxSpec(samples=200, seed=1))  # sample A
         engine.query(focal_b, 3)                                   # evicts exact A
         assert any(
-            entry.prepared.tree is None for entry in engine._prepared.values()
+            entry.value.tree is None for entry in engine._prepared.entries()
         ), "the sampling entry must have survived the eviction"
         assert hkey not in engine._hyperplanes
 

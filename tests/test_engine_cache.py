@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import Dataset, kspr
 from repro.data import independent_dataset
 from repro.engine import Engine, ResultCache
-from repro.engine.cache import CacheEntry, PartialEntry, PartialStore, options_key
+from repro.engine import cache as cache_module
+from repro.engine.cache import CacheEntry, options_key
+from repro.engine.engine import _BatchDeltas
 from repro.index.skyline import SkybandDelta
+from repro.snapshot import ReplayCheckpoint, SnapshotStore
 
 
 @pytest.fixture
@@ -17,41 +22,56 @@ def cached_engine() -> Engine:
     return Engine(independent_dataset(60, 3, seed=23), k_max=8)
 
 
-class TestResultCacheUnit:
-    def _entry(self, tag: str, k: int = 2) -> CacheEntry:
-        return CacheEntry(
-            fingerprint="fp",
-            focal=np.array([float(len(tag)), 1.0]),
-            k=k,
-            method=tag,
-            opts=(),
-            result=object(),  # type: ignore[arg-type] - identity is all that matters here
-        )
+def _entry(tag: str, value=None, fingerprint: str = "fp") -> CacheEntry:
+    """An entry keyed ``(fingerprint, tag)``: the store reads only its key and value."""
+    return CacheEntry(
+        (fingerprint, tag),
+        np.array([float(len(tag)), 1.0]),
+        2,
+        False,
+        object() if value is None else value,
+    )
 
+
+class TestResultCacheUnit:
     def test_lru_eviction_order(self):
         cache = ResultCache(capacity=2)
-        first, second, third = self._entry("a"), self._entry("b"), self._entry("c")
+        first, second, third = _entry("a"), _entry("b"), _entry("c")
         cache.put(first)
         cache.put(second)
-        assert cache.get(first.key) is first.result  # refresh "a"
+        assert cache.get(first.key) is first.value  # refresh "a"
         cache.put(third)  # evicts "b", the least recently used
         assert cache.get(second.key) is None
-        assert cache.get(first.key) is first.result
-        assert cache.get(third.key) is third.result
+        assert cache.get(first.key) is first.value
+        assert cache.get(third.key) is third.value
         assert cache.evictions == 1
 
-    def test_apply_update_rekeys_unaffected_entries(self):
+    def test_reconcile_rekeys_unaffected_entries(self):
         cache = ResultCache(capacity=4)
-        keep, drop = self._entry("keep"), self._entry("drop")
+        keep, drop = _entry("keep"), _entry("drop")
         cache.put(keep)
         cache.put(drop)
-        retained, dropped = cache.apply_update(
-            "fp2", lambda entry: entry.method == "drop"
-        )
+        retained, dropped = cache.reconcile("fp2", lambda entry: entry.key[1] == "drop")
         assert (retained, dropped) == (1, 1)
-        assert keep.fingerprint == "fp2"
-        assert cache.get(keep.key) is keep.result
-        assert all(entry.method != "drop" for entry in cache.entries())
+        assert keep.key == ("fp2", "keep") and keep.fingerprint == "fp2"
+        assert cache.get(keep.key) is keep.value
+        assert [entry.key for entry in cache.entries()] == [("fp2", "keep")]
+
+    def test_lookups_count_only_what_they_say(self):
+        cache = ResultCache(capacity=4)
+        entry = _entry("a")
+        cache.put(entry)
+        assert cache.peek(entry.key) is entry and cache.peek(("fp", "x")) is None
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.touch(entry.key) is entry and cache.touch(("fp", "x")) is None
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert cache.get(("fp", "x")) is None
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.pop(entry.key) is entry and cache.pop(entry.key) is None
+        assert cache.checkouts == 1 and len(cache) == 0
+        cache.put(entry)
+        cache.put(entry)  # a re-put counts as a put, not as a new key
+        assert (cache.puts, cache.insertions) == (3, 2)
 
     def test_options_key_is_order_insensitive(self):
         assert options_key({"a": 1, "b": "x"}) == options_key({"b": "x", "a": 1})
@@ -324,25 +344,28 @@ class _ClosableQuery:
     """Stand-in for a suspended AnytimeQuery: all the store touches is close()."""
 
     def __init__(self) -> None:
-        self.closed = False
+        self.closes = 0
+
+    @property
+    def closed(self) -> bool:
+        return self.closes > 0
 
     def close(self) -> None:
-        self.closed = True
+        self.closes += 1
 
 
-def _partial(tag: str) -> PartialEntry:
-    return PartialEntry(
-        fingerprint="fp",
-        focal=np.array([float(len(tag)), 1.0]),
-        k=2,
-        method=tag,
-        opts=(),
-        query=_ClosableQuery(),
-    )
+def _partial(tag: str) -> CacheEntry:
+    return _entry(tag, _ClosableQuery())
+
+
+def _competitive_focal(engine: Engine) -> np.ndarray:
+    """A focal near the best record, whose lpcta stream pauses after one batch."""
+    values = engine.dataset.values
+    return values[values.sum(axis=1).argmax()] * 0.98
 
 
 class TestApplyUpdateExceptionSafety:
-    """A raising is_affected callback must leave both caches fully intact.
+    """A raising verdict must leave every store fully intact.
 
     The bug this guards against: the one-pass implementation re-keyed (and,
     for checkpoints, closed) entries *while* iterating, so a callback raising
@@ -355,31 +378,28 @@ class TestApplyUpdateExceptionSafety:
 
     def test_result_cache_is_untouched_by_a_raising_callback(self):
         cache = ResultCache(capacity=4)
-        entries = [
-            CacheEntry("fp", np.array([float(i), 1.0]), 2, "m", (), object())
-            for i in range(3)
-        ]
+        entries = [_entry(tag) for tag in ("a", "bb", "ccc")]
         for entry in entries:
             cache.put(entry)
         with pytest.raises(RuntimeError, match="boom"):
-            cache.apply_update("fp2", self._boom)
+            cache.reconcile("fp2", self._boom)
         assert len(cache) == 3
         assert all(entry.fingerprint == "fp" for entry in cache.entries())
         assert [entry.key for entry in cache.entries()] == [e.key for e in entries]
         assert cache.invalidated == 0 and cache.rekeyed == 0
         # Every entry is still served under its original key.
         for entry in entries:
-            assert cache.get(entry.key) is entry.result
+            assert cache.get(entry.key) is entry.value
 
     def test_partial_store_is_untouched_and_still_open(self):
-        store = PartialStore(capacity=4)
+        store = ResultCache(capacity=4)
         entries = [_partial(tag) for tag in ("a", "bb", "ccc")]
         for entry in entries:
             store.put(entry)
         with pytest.raises(RuntimeError, match="boom"):
-            store.apply_update("fp2", self._boom)
+            store.reconcile("fp2", self._boom)
         assert len(store) == 3
-        assert all(not entry.query.closed for entry in entries)
+        assert all(not entry.value.closed for entry in entries)
         assert all(entry.fingerprint == "fp" for entry in store.entries())
         assert store.invalidated == 0
         for entry in entries:
@@ -387,8 +407,7 @@ class TestApplyUpdateExceptionSafety:
 
     def test_callback_raising_after_some_verdicts_mutates_nothing(self):
         cache = ResultCache(capacity=4)
-        first = CacheEntry("fp", np.array([1.0, 1.0]), 2, "m", (), object())
-        second = CacheEntry("fp", np.array([2.0, 1.0]), 2, "m", (), object())
+        first, second = _partial("a"), _partial("bb")
         cache.put(first)
         cache.put(second)
 
@@ -398,21 +417,40 @@ class TestApplyUpdateExceptionSafety:
             return True  # first would be dropped — but must not be
 
         with pytest.raises(RuntimeError, match="late boom"):
-            cache.apply_update("fp2", boom_on_second)
-        assert cache.get(first.key) is first.result
-        assert cache.get(second.key) is second.result
+            cache.reconcile("fp2", boom_on_second)
+        assert cache.get(first.key) is first.value and not first.value.closed
+        assert cache.get(second.key) is second.value
+
+    def test_failing_batch_verdicts_leave_every_engine_store_untouched(self, monkeypatch):
+        engine = Engine(independent_dataset(60, 3, seed=23), k_max=8)
+        focal = _competitive_focal(engine)
+        engine.query(focal, 2)
+        list(engine.query_stream(focal, 3, max_batches=1))
+        stores = (engine._result_cache, engine._partials, engine._prepared)
+        before = [[entry.key for entry in store.entries()] for store in stores]
+        assert all(before), "every store must hold an entry"
+        paused = engine._partials.entries()[0].value
+        closes = []
+        monkeypatch.setattr(paused, "close", lambda: closes.append(1))
+
+        def boom(self, focals, ks, pruned):
+            raise RuntimeError("verdicts failed")
+
+        monkeypatch.setattr(_BatchDeltas, "affects", boom)
+        with pytest.raises(RuntimeError, match="verdicts failed"):
+            engine.insert([0.5, 0.5, 0.5])
+        assert [[entry.key for entry in store.entries()] for store in stores] == before
+        assert closes == []
 
 
 class TestCapacityEdges:
     def test_negative_capacity_is_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=-1)
-        with pytest.raises(ValueError):
-            PartialStore(capacity=-1)
 
     def test_result_cache_capacity_zero_disables_caching(self):
         cache = ResultCache(capacity=0)
-        entry = CacheEntry("fp", np.array([1.0, 1.0]), 2, "m", (), object())
+        entry = _entry("a")
         cache.put(entry)
         assert len(cache) == 0
         assert cache.get(entry.key) is None
@@ -420,39 +458,157 @@ class TestCapacityEdges:
 
     def test_result_cache_capacity_one_is_a_true_lru_slot(self):
         cache = ResultCache(capacity=1)
-        first = CacheEntry("fp", np.array([1.0, 1.0]), 2, "m", (), object())
-        second = CacheEntry("fp", np.array([2.0, 1.0]), 2, "m", (), object())
+        first, second = _entry("a"), _entry("bb")
         cache.put(first)
-        assert cache.get(first.key) is first.result  # hit refreshes the slot
+        assert cache.get(first.key) is first.value  # hit refreshes the slot
         cache.put(second)  # replaces it
         assert cache.get(first.key) is None
-        assert cache.get(second.key) is second.result
+        assert cache.get(second.key) is second.value
         assert cache.evictions == 1
 
     def test_get_refreshes_recency(self):
         cache = ResultCache(capacity=2)
-        first = CacheEntry("fp", np.array([1.0, 1.0]), 2, "m", (), object())
-        second = CacheEntry("fp", np.array([2.0, 1.0]), 2, "m", (), object())
-        third = CacheEntry("fp", np.array([3.0, 1.0]), 2, "m", (), object())
+        first, second, third = _entry("a"), _entry("bb"), _entry("ccc")
         cache.put(first)
         cache.put(second)
-        assert cache.get(first.key) is first.result  # now "second" is LRU
+        assert cache.get(first.key) is first.value  # now "second" is LRU
         cache.put(third)
         assert cache.get(second.key) is None
-        assert cache.get(first.key) is first.result
+        assert cache.get(first.key) is first.value
 
     def test_partial_store_capacity_zero_closes_immediately(self):
-        store = PartialStore(capacity=0)
+        store = ResultCache(capacity=0)
         entry = _partial("a")
         store.put(entry)
         assert len(store) == 0
-        assert entry.query.closed
-        assert store.saves == 1 and store.evictions == 1
+        assert entry.value.closed
+        assert store.puts == 1 and store.evictions == 1
 
     def test_partial_store_capacity_one_closes_the_displaced_checkpoint(self):
-        store = PartialStore(capacity=1)
+        store = ResultCache(capacity=1)
         first, second = _partial("a"), _partial("bb")
         store.put(first)
         store.put(second)
-        assert first.query.closed and not second.query.closed
+        assert first.value.closed and not second.value.closed
         assert store.pop(second.key) is second
+
+
+class TestReleasedExactlyOnce:
+    """A checkpoint leaving the store unresumed is closed once, whatever the path."""
+
+    def test_evicted_checkpoint(self):
+        store = ResultCache(capacity=1)
+        first = _partial("a")
+        store.put(first)
+        store.put(_partial("bb"))
+        store.put(_partial("ccc"))
+        assert first.value.closes == 1
+
+    def test_displaced_checkpoint_but_not_a_returning_one(self):
+        store = ResultCache(capacity=4)
+        first = _partial("a")
+        store.put(first)
+        store.put(store.pop(first.key))  # a checkout coming back is not released
+        assert first.value.closes == 0
+        store.put(_partial("a"))  # another stream under the same key displaces it
+        store.discard(first.key)
+        assert first.value.closes == 1
+
+    def test_invalidated_checkpoint(self):
+        store = ResultCache(capacity=4)
+        first, second = _partial("a"), _partial("bb")
+        store.put(first)
+        store.put(second)
+        store.reconcile("fp2", lambda entry: entry is first)
+        store.reconcile("fp3", lambda entry: False)
+        store.discard(first.key)
+        assert (first.value.closes, second.value.closes) == (1, 0)
+
+    def test_checkpoint_shadowed_by_an_answer(self):
+        engine = Engine(independent_dataset(60, 3, seed=23), k_max=8)
+        focal = _competitive_focal(engine)
+        list(engine.query_stream(focal, 3, max_batches=1))
+        paused = engine._partials.entries()[0].value
+        closes = []
+        close = paused.close
+        paused.close = lambda: (closes.append(1), close())
+        engine.query(focal, 3)  # installs the answer over the checkpoint
+        assert len(engine._partials) == 0
+        list(engine.query_stream(focal, 3))  # served from the answer
+        engine.insert([0.01, 0.01, 0.01])
+        assert closes == [1]
+
+
+class TestPreparedStateUnderUpdates:
+    def test_undamaging_update_rekeys_and_damaging_update_drops(self):
+        engine = Engine(independent_dataset(60, 3, seed=23), k_max=8)
+        focal = _competitive_focal(engine)
+        engine.query(focal, 2)
+        [entry] = engine._prepared.entries()
+        assert entry.fingerprint == engine.fingerprint
+        hkey = (focal.tobytes(), "transformed")
+        assert hkey in engine._hyperplanes
+
+        engine.insert(focal * 0.5)  # dominated by the focal: rule 1 spares it
+        [kept] = engine._prepared.entries()
+        assert kept is entry and entry.fingerprint == engine.fingerprint
+        reuses = engine.metrics()["engine.prepared.reuses"]
+        engine.query(focal, 2, method="cta")  # same (focal, band, space): a reuse
+        assert engine.metrics()["engine.prepared.reuses"] == reuses + 1
+        assert engine.metrics()["engine.prepared.builds"] == 1
+
+        del entry, kept  # a hyperplane cache lives as long as anything holds it
+        engine.insert(focal * 1.5)  # dominates the focal: rule 2 drops it
+        assert len(engine._prepared) == 0
+        assert engine.metrics()["engine.prepared.entries"] == 0
+        assert hkey not in engine._hyperplanes
+
+
+class TestPersistedPayloadVersion:
+    def test_version_1_cache_files_restore_cold(self, tmp_path, monkeypatch):
+        engine = Engine(independent_dataset(60, 3, seed=23), k_max=8)
+        focal = _competitive_focal(engine)
+        engine.query(focal, 2)
+        list(engine.query_stream(focal, 3, max_batches=1))
+        store = SnapshotStore(tmp_path)
+        sid = engine.commit(store)
+        fingerprint = store.meta(sid).fingerprint
+
+        # The version-1 shapes: answers as CacheEntry(fingerprint, focal, k,
+        # method, opts, result, pruned), checkpoints as PartialEntry objects
+        # of a class this version no longer defines.
+        [answer] = engine._result_cache.entries()
+        old_answer = CacheEntry.__new__(CacheEntry)
+        old_answer.__dict__.update(
+            fingerprint=fingerprint, focal=answer.focal, k=answer.k,
+            method=answer.key[3], opts=answer.key[4], result=answer.value, pruned=True,
+        )
+
+        class PartialEntry:
+            pass
+
+        old_partial = PartialEntry()
+        old_partial.__dict__.update(
+            fingerprint=fingerprint, query=ReplayCheckpoint(ticks=1), capture=True,
+        )
+        monkeypatch.setattr(cache_module, "PartialEntry", PartialEntry, raising=False)
+        PartialEntry.__module__, PartialEntry.__qualname__ = cache_module.__name__, "PartialEntry"
+        for path, entries in (
+            (store._results_path(sid), [old_answer]),
+            (store._partials_path(sid), [old_partial]),
+        ):
+            path.write_bytes(pickle.dumps(
+                {"format": 1, "fingerprint": fingerprint, "entries": entries}
+            ))
+        monkeypatch.delattr(cache_module, "PartialEntry")
+
+        restored = Engine.from_snapshot(store, sid, k_max=8)
+        assert len(restored._result_cache) == 0 and len(restored._partials) == 0
+        assert restored.query(focal, 2).total_volume() == pytest.approx(
+            engine.query(focal, 2).total_volume()
+        )
+        final = list(restored.query_stream(focal, 3))[-1]
+        assert final.done
+        metrics = restored.metrics()
+        assert metrics["engine.queries.cold"] == 2
+        assert metrics["engine.stream.resumes"] == 0

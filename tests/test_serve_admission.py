@@ -288,8 +288,7 @@ def run_server(config: ServeConfig, body):
     focal = [float(v) for v in engine.dataset.values[row] * 0.98]
 
     async def go():
-        async with ServeServer(service) as server:
-            client = ServeClient(*server.address)
+        async with ServeServer(service) as server, ServeClient(*server.address) as client:
             return await body(client, service, focal)
 
     return asyncio.run(go())
@@ -309,11 +308,13 @@ def test_http_routing_and_error_mapping():
         status, headers, reader, writer = await client._open("GET", "/nope")
         body_bytes = await client._read_body(reader, headers)
         writer.close()
+        await writer.wait_closed()
         assert status == 404 and b"not_found" in body_bytes
 
         status, headers, reader, writer = await client._open("DELETE", "/healthz")
         await client._read_body(reader, headers)
         writer.close()
+        await writer.wait_closed()
         assert status == 405
 
         with pytest.raises(ServeHTTPError) as expired:
@@ -335,6 +336,7 @@ def test_http_bad_content_length_answers_400_and_server_keeps_serving(declared):
         await writer.drain()
         response = await reader.read()  # the server answers, then closes
         writer.close()
+        await writer.wait_closed()
         head, _, payload = response.partition(b"\r\n\r\n")
         assert head.split()[1] == b"400", response
         assert json.loads(payload)["reason"] == "bad_request"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -276,3 +277,81 @@ def test_surviving_waiter_keeps_shared_refinement_alive(case):
     assert counter(service, "serve.refinements.completed.total") == 1
     assert counter(service, "serve.refinements.cancelled.total") == 0
     assert service.admission.active == 0
+
+
+# --------------------------------------------------------------------- #
+# the event loop never waits on the engine lock
+# --------------------------------------------------------------------- #
+def _hold_engine_lock(engine: Engine, seconds: float) -> threading.Thread:
+    """Start a thread holding ``engine``'s lock for ``seconds``; return once it holds it."""
+    held = threading.Event()
+
+    def hold():
+        with engine._lock:
+            held.set()
+            time.sleep(seconds)
+
+    thread = threading.Thread(target=hold, daemon=True)
+    thread.start()
+    held.wait()
+    return thread
+
+
+def test_canonical_key_on_the_loop_never_waits_for_the_engine_lock(case):
+    dataset, focal = case
+    engine = Engine(dataset, k_max=8)
+
+    async def go():
+        holder = _hold_engine_lock(engine, 0.5)
+        started = time.perf_counter()
+        engine.canonical_key(focal, K)
+        elapsed = time.perf_counter() - started
+        holder.join()
+        return elapsed
+
+    assert asyncio.run(go()) < 0.05
+
+
+def test_two_phase_miss_never_stalls_the_loop_on_the_engine_lock(case):
+    # Another thread takes the engine lock right after the pool-side approx
+    # query returns, so the loop-side exact peek misses and the request
+    # joins a refinement while the lock is held.
+    dataset, focal = case
+    engine = Engine(dataset, k_max=8)
+    service = make_service(engine)
+    holders = []
+    query = engine.query
+
+    def query_then_hold(*args, **kwargs):
+        result = query(*args, **kwargs)
+        if kwargs.get("approx") is not None and not kwargs.get("cached_only"):
+            holders.append(_hold_engine_lock(engine, 0.5))
+        return result
+
+    engine.query = query_then_hold
+
+    async def go():
+        gaps = []
+        stop = asyncio.Event()
+
+        async def ticker():
+            last = time.perf_counter()
+            while not stop.is_set():
+                await asyncio.sleep(0.005)
+                now = time.perf_counter()
+                gaps.append(now - last)
+                last = now
+
+        ticks = asyncio.create_task(ticker())
+        answer = await service.answer(ServeRequest(focal=focal, k=K))
+        exact = await answer.refined()
+        answer.close()
+        stop.set()
+        await ticks
+        assert await service.quiesce(timeout=60.0)
+        await service.close()
+        return gaps, exact
+
+    gaps, exact = asyncio.run(go())
+    assert len(holders) == 1 and exact is not None
+    assert max(gaps) < 0.1, f"the loop stalled for {max(gaps) * 1000:.0f} ms"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -50,6 +51,15 @@ def make_engine(engine_type=Engine) -> tuple[Engine, list[float]]:
 def make_service(engine: Engine) -> KSPRService:
     return KSPRService(engine, ServeConfig(
         worker_threads=2, approx=SPEC, refine_method="pcta", tenant_burst=1e9, tenant_rate=1e9))
+
+
+async def _wait_closed_3_12(self) -> None:
+    """``asyncio.Server.wait_closed`` as Python 3.12.1 and later define it."""
+    if self._waiters is None:
+        return
+    waiter = self._loop.create_future()
+    self._waiters.append(waiter)
+    await waiter
 
 
 def warm(engine: Engine, focal: list[float]) -> None:
@@ -374,6 +384,34 @@ class TestKeepAlive:
             return tail
 
         assert asyncio.run(go()) == b""
+
+    def test_stop_leaves_no_connection_task_running(self, monkeypatch):
+        # A standing subscription never ends its response by itself: stop()
+        # closes it under the response after the grace period and returns
+        # only once every connection task has ended, so asyncio.run's
+        # teardown never has to cancel one.
+        monkeypatch.setattr(serve_http, "_STOP_GRACE", 0.2)
+        if sys.version_info < (3, 12, 1):
+            # From Python 3.12.1 on, Server.wait_closed() waits until every
+            # connection has dropped; before, it returns at once.  Run the
+            # newer body so stop() is checked against it on every version.
+            monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", _wait_closed_3_12)
+        engine, focal = make_engine()
+        service = make_service(engine)
+
+        async def go():
+            server = await ServeServer(service).start()
+            async with ServeClient(*server.address) as client:
+                events = client.subscribe_events({"focal": focal, "k": K})
+                name, _payload = await anext(events)
+                await asyncio.wait_for(server.stop(), 5.0)
+                running = asyncio.all_tasks() - {asyncio.current_task()}
+                await events.aclose()
+            return name, running
+
+        name, running = asyncio.run(go())
+        assert name == "snapshot"
+        assert running == set()
 
     def test_disconnect_mid_refinement_on_a_kept_alive_connection_cancels(self):
         class GatedEngine(Engine):

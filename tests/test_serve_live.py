@@ -210,8 +210,7 @@ def test_http_subscribe_update_resume_round_trip():
     service = KSPRService(Engine(dataset), ServeConfig(worker_threads=2))
 
     async def run():
-        async with ServeServer(service) as server:
-            client = ServeClient(*server.address)
+        async with ServeServer(service) as server, ServeClient(*server.address) as client:
             request = {"focal": focal.tolist(), "k": 2}
 
             got: list = []
