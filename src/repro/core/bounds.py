@@ -31,7 +31,7 @@ import numpy as np
 
 from ..exceptions import InvalidQueryError
 from ..geometry.halfspace import Halfspace
-from ..geometry.linprog import LPCounters, maximize_linear, minimize_linear
+from ..geometry.linprog import ConstraintStack, LPCounters, maximize_linear, minimize_linear
 from ..index.rtree import AggregateRTree, RTreeNode
 from ..robust import Tolerance, resolve_tolerance
 from .cell import CellView
@@ -89,11 +89,15 @@ def score_objective(point: np.ndarray) -> tuple[np.ndarray, float]:
 
 def cell_score_interval(
     point: np.ndarray,
-    halfspaces: tuple[Halfspace, ...],
+    halfspaces: tuple[Halfspace, ...] | ConstraintStack,
     dimensionality: int,
     counters: LPCounters | None = None,
 ) -> tuple[float, float]:
-    """Tight ``[min, max]`` score of a d-dimensional point over a cell (two LPs)."""
+    """Tight ``[min, max]`` score of a d-dimensional point over a cell (two LPs).
+
+    The cell is its halfspaces or its system from
+    :meth:`~repro.geometry.linprog.ConstraintStack.assemble`.
+    """
     coefficients, constant = score_objective(point)
     low = minimize_linear(coefficients, halfspaces, dimensionality, counters).value + constant
     high = maximize_linear(coefficients, halfspaces, dimensionality, counters).value + constant
@@ -101,7 +105,7 @@ def cell_score_interval(
 
 
 def fast_vectors(
-    halfspaces: tuple[Halfspace, ...],
+    halfspaces: tuple[Halfspace, ...] | ConstraintStack,
     dimensionality: int,
     counters: LPCounters | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,6 +114,7 @@ def fast_vectors(
     Each component of ``w^L`` (resp. ``w^U``) is the minimum (maximum) value
     that weight can take inside the cell; the last component is derived from
     the extrema of ``sum_i w_i`` (Section 6.3).  ``2 d`` LP solves in total.
+    The cell is given as in :func:`cell_score_interval`.
     """
     low = np.empty(dimensionality + 1)
     high = np.empty(dimensionality + 1)
@@ -156,22 +161,26 @@ class TransformedBoundEvaluator:
     # public API
     # ------------------------------------------------------------------ #
     def evaluate(self, cell: CellView, k: int) -> RankBounds:
-        """Compute rank bounds for ``cell``, stopping early once ``lower > k``."""
-        halfspaces = cell.bounding_halfspaces
+        """Compute rank bounds for ``cell``, stopping early once ``lower > k``.
+
+        The cell's constraint system is assembled once; every LP of the
+        evaluation solves over it.
+        """
+        system = ConstraintStack.assemble(cell.bounding_halfspaces, self.dimensionality)
         focal_low, focal_high = cell_score_interval(
-            self.focal, halfspaces, self.dimensionality, self.counters
+            self.focal, system, self.dimensionality, self.counters
         )
         use_fast = self.mode is BoundsMode.FAST and self._fast_applicable
         vector_low: np.ndarray | None = None
         vector_high: np.ndarray | None = None
         if use_fast:
-            vector_low, vector_high = fast_vectors(halfspaces, self.dimensionality, self.counters)
+            vector_low, vector_high = fast_vectors(system, self.dimensionality, self.counters)
 
         state = _TraversalState(lower=1, upper=1)
         if self.tree.dataset.cardinality:
             self._visit_node(
                 self.tree.visit(self.tree.root),
-                halfspaces,
+                system,
                 focal_low,
                 focal_high,
                 vector_low,
@@ -187,7 +196,7 @@ class TransformedBoundEvaluator:
     def _visit_node(
         self,
         node: RTreeNode,
-        halfspaces: tuple[Halfspace, ...],
+        system: ConstraintStack,
         focal_low: float,
         focal_high: float,
         vector_low: np.ndarray | None,
@@ -203,7 +212,7 @@ class TransformedBoundEvaluator:
                     return
                 values = self.tree.dataset.values[int(position)]
                 self._classify_record(
-                    values, halfspaces, focal_low, focal_high, vector_low, vector_high, state
+                    values, system, focal_low, focal_high, vector_low, vector_high, state
                 )
             return
         for child in node.children:
@@ -212,12 +221,12 @@ class TransformedBoundEvaluator:
             decided = False
             if self.mode is not BoundsMode.RECORD:
                 decided = self._classify_group(
-                    child, halfspaces, focal_low, focal_high, vector_low, vector_high, state
+                    child, system, focal_low, focal_high, vector_low, vector_high, state
                 )
             if not decided:
                 self._visit_node(
                     self.tree.visit(child),
-                    halfspaces,
+                    system,
                     focal_low,
                     focal_high,
                     vector_low,
@@ -229,7 +238,7 @@ class TransformedBoundEvaluator:
     def _classify_group(
         self,
         node: RTreeNode,
-        halfspaces: tuple[Halfspace, ...],
+        system: ConstraintStack,
         focal_low: float,
         focal_high: float,
         vector_low: np.ndarray | None,
@@ -245,12 +254,12 @@ class TransformedBoundEvaluator:
                 return True
         low_coefficients, low_constant = score_objective(node.mbr.low)
         group_low = (
-            minimize_linear(low_coefficients, halfspaces, self.dimensionality, self.counters).value
+            minimize_linear(low_coefficients, system, self.dimensionality, self.counters).value
             + low_constant
         )
         high_coefficients, high_constant = score_objective(node.mbr.high)
         group_high = (
-            maximize_linear(high_coefficients, halfspaces, self.dimensionality, self.counters).value
+            maximize_linear(high_coefficients, system, self.dimensionality, self.counters).value
             + high_constant
         )
         return self._apply_interval(group_low, group_high, count, focal_low, focal_high, state)
@@ -258,7 +267,7 @@ class TransformedBoundEvaluator:
     def _classify_record(
         self,
         values: np.ndarray,
-        halfspaces: tuple[Halfspace, ...],
+        system: ConstraintStack,
         focal_low: float,
         focal_high: float,
         vector_low: np.ndarray | None,
@@ -271,7 +280,7 @@ class TransformedBoundEvaluator:
             if self._apply_interval(fast_low, fast_high, 1, focal_low, focal_high, state):
                 return
         record_low, record_high = cell_score_interval(
-            values, halfspaces, self.dimensionality, self.counters
+            values, system, self.dimensionality, self.counters
         )
         if self._apply_interval(record_low, record_high, 1, focal_low, focal_high, state):
             return
@@ -336,25 +345,29 @@ class OriginalSpaceBoundEvaluator:
         self.tolerance = resolve_tolerance(tolerance)
 
     def evaluate(self, cell: CellView, k: int) -> RankBounds:
-        """Compute rank bounds for a cone cell of the original space."""
-        halfspaces = cell.bounding_halfspaces
+        """Compute rank bounds for a cone cell of the original space.
+
+        The cell's constraint system is assembled once; every LP of the
+        evaluation solves over it.
+        """
+        system = ConstraintStack.assemble(cell.bounding_halfspaces, self.dimensionality)
         state = _TraversalState(lower=1, upper=1)
         if self.tree.dataset.cardinality:
-            self._visit_node(self.tree.visit(self.tree.root), halfspaces, state, k)
+            self._visit_node(self.tree.visit(self.tree.root), system, state, k)
         return RankBounds(state.lower, min(state.upper, self.tree.dataset.cardinality + 1))
 
     def _difference_interval(
-        self, point: np.ndarray, halfspaces: tuple[Halfspace, ...]
+        self, point: np.ndarray, system: ConstraintStack
     ) -> tuple[float, float]:
         objective = np.asarray(point, dtype=float) - self.focal
-        low = minimize_linear(objective, halfspaces, self.dimensionality, self.counters).value
-        high = maximize_linear(objective, halfspaces, self.dimensionality, self.counters).value
+        low = minimize_linear(objective, system, self.dimensionality, self.counters).value
+        high = maximize_linear(objective, system, self.dimensionality, self.counters).value
         return low, high
 
     def _visit_node(
         self,
         node: RTreeNode,
-        halfspaces: tuple[Halfspace, ...],
+        system: ConstraintStack,
         state: "_TraversalState",
         k: int,
     ) -> None:
@@ -365,7 +378,7 @@ class OriginalSpaceBoundEvaluator:
                 if state.lower > k:
                     return
                 values = self.tree.dataset.values[int(position)]
-                low, high = self._difference_interval(values, halfspaces)
+                low, high = self._difference_interval(values, system)
                 margin = self.tolerance.margin(max(abs(low), abs(high), 1.0))
                 if low > margin:
                     state.lower += 1
@@ -382,18 +395,18 @@ class OriginalSpaceBoundEvaluator:
             # Only the low corner's minimum and the high corner's maximum are
             # read: one LP per corner.
             corner_low = minimize_linear(
-                child.mbr.low - self.focal, halfspaces, self.dimensionality, self.counters
+                child.mbr.low - self.focal, system, self.dimensionality, self.counters
             ).value
             if corner_low > self.tolerance.margin(max(abs(corner_low), 1.0)):
                 state.lower += child.count
                 state.upper += child.count
                 continue
             corner_high = maximize_linear(
-                child.mbr.high - self.focal, halfspaces, self.dimensionality, self.counters
+                child.mbr.high - self.focal, system, self.dimensionality, self.counters
             ).value
             if corner_high <= -self.tolerance.margin(max(abs(corner_high), 1.0)):
                 continue
-            self._visit_node(self.tree.visit(child), halfspaces, state, k)
+            self._visit_node(self.tree.visit(child), system, state, k)
 
 
 @dataclass

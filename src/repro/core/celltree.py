@@ -113,6 +113,7 @@ class CellTreeNode:
         "bounds_checked",
         "constraints",
         "vertices",
+        "apex_free",
     )
 
     def __init__(self, parent: "CellTreeNode | None", edge: Halfspace | None) -> None:
@@ -144,6 +145,11 @@ class CellTreeNode:
         #: enumerated the first time a probe of this node needs an LP (empty
         #: when they cannot be).  Freed together with the constraint rows.
         self.vertices: np.ndarray | None = None
+        #: :attr:`vertices` without the apex of a cone cut by one row (see
+        #: :func:`_without_apex`; the vertices themselves for any other
+        #: cell), what a probe by a hyperplane through the origin tests.
+        #: Computed and freed with the vertices.
+        self.apex_free: np.ndarray | None = None
 
     #: Maximum number of cached witness points kept per node.
     MAX_WITNESSES = 12
@@ -332,15 +338,19 @@ class CellTree:
                 self.stats.witness_shortcuts += 1
 
         # Case I: node entirely inside the positive halfspace?
+        negative_rows: ConstraintStack | None = None
         if negative_witness is None:
             if self._certified_empty(node, negative):
                 self._add_to_cover(node, positive, accumulated - node.local_positive)
                 return
+            negative_rows = node.constraints.push(negative)
             outcome = solve_feasibility(
-                *node.constraints.probe(negative),
+                negative_rows.matrix,
+                negative_rows.rhs,
                 self.dimensionality,
                 self.counters,
                 tolerance=self.tolerance,
+                norms=negative_rows.norms,
             )
             if outcome.feasible:
                 negative_witness = outcome.witness
@@ -350,15 +360,19 @@ class CellTree:
                 return
 
         # Case II: node entirely inside the negative halfspace?
+        positive_rows: ConstraintStack | None = None
         if positive_witness is None:
             if self._certified_empty(node, positive):
                 self._add_to_cover(node, negative, accumulated - node.local_positive)
                 return
+            positive_rows = node.constraints.push(positive)
             outcome = solve_feasibility(
-                *node.constraints.probe(positive),
+                positive_rows.matrix,
+                positive_rows.rhs,
                 self.dimensionality,
                 self.counters,
                 tolerance=self.tolerance,
+                norms=positive_rows.norms,
             )
             if outcome.feasible:
                 positive_witness = outcome.witness
@@ -369,7 +383,16 @@ class CellTree:
 
         # Case III: the hyperplane cuts through the node.
         if node.is_leaf:
-            self._split(node, negative, positive, negative_witness, positive_witness)
+            # A side probed by an LP already holds the child's rows.
+            self._split(
+                node,
+                negative,
+                positive,
+                negative_witness,
+                positive_witness,
+                negative_rows or node.constraints.push(negative),
+                positive_rows or node.constraints.push(positive),
+            )
             return
         self._insert(node.left, hyperplane, dominator_ids, accumulated)
         self._insert(node.right, hyperplane, dominator_ids, accumulated)
@@ -388,10 +411,9 @@ class CellTree:
             return False
         if node.vertices is None:
             node.vertices = self._enumerate_vertices(node)
+            node.apex_free = _without_apex(node.constraints, node.vertices)
         hyperplane = halfspace.hyperplane
-        vertices = node.vertices
-        if hyperplane.offset == 0.0:
-            vertices = _without_apex(node.constraints, vertices)
+        vertices = node.apex_free if hyperplane.offset == 0.0 else node.vertices
         if not len(vertices):
             return False
         values = hyperplane.evaluate_many(vertices)
@@ -441,12 +463,18 @@ class CellTree:
         positive: Halfspace,
         negative_witness: np.ndarray | None,
         positive_witness: np.ndarray | None,
+        negative_rows: ConstraintStack,
+        positive_rows: ConstraintStack,
     ) -> None:
-        """Split a leaf into two children labelled with the two halfspaces."""
+        """Split a leaf into two children labelled with the two halfspaces.
+
+        ``negative_rows`` / ``positive_rows`` are the leaf's constraint stack
+        pushed with each halfspace: the children's stacks.
+        """
         left = CellTreeNode(parent=leaf, edge=negative)
         right = CellTreeNode(parent=leaf, edge=positive)
-        left.constraints = leaf.constraints.push(negative)
-        right.constraints = leaf.constraints.push(positive)
+        left.constraints = negative_rows
+        right.constraints = positive_rows
         left.add_witness(negative_witness)
         right.add_witness(positive_witness)
         if leaf.witnesses:
@@ -468,7 +496,7 @@ class CellTree:
         if node.eliminated:
             return
         node.eliminated = True
-        node.constraints = node.vertices = None  # no further probes reach this node
+        node.constraints = node.vertices = node.apex_free = None  # no further probes reach this node
         self.stats.nodes_eliminated += 1
 
     def eliminate(self, node: CellTreeNode) -> None:
@@ -478,7 +506,7 @@ class CellTree:
     def report(self, node: CellTreeNode) -> None:
         """Mark a leaf as reported (removed from further processing)."""
         node.reported = True
-        node.constraints = node.vertices = None  # no further probes reach this node
+        node.constraints = node.vertices = node.apex_free = None  # no further probes reach this node
 
     # ------------------------------------------------------------------ #
     # traversal
@@ -531,6 +559,8 @@ class CellTree:
                 total += node.constraints.memory_bytes()
             if node.vertices is not None:
                 total += node.vertices.nbytes
+            if node.apex_free is not None and node.apex_free is not node.vertices:
+                total += node.apex_free.nbytes
             if node.left is not None:
                 stack.append(node.left)
             if node.right is not None:

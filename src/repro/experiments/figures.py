@@ -5,11 +5,13 @@ Every function returns a :class:`FigureResult` whose rows are
 under ``benchmarks/`` and the CLI (``python -m repro.experiments``) render
 them with :mod:`repro.experiments.report`.
 
-All experiments are *scaled down* relative to the paper (pure-Python LP calls
-are ~10^2–10^3x slower than the authors' C++ / ``lp_solve`` setup): the
-``quick`` flag selects an even smaller grid so the whole suite stays in the
-range of minutes.  EXPERIMENTS.md records, for every figure, the trend the
-paper reports and the trend measured here.
+All experiments are *scaled down* relative to the paper (one LP through
+:data:`repro.geometry.linprog.linprog` costs about 230 µs on the cold-exact
+benchmark's LPs, of which HiGHS itself takes about 180 µs, and the CellTree,
+bounds and index around it are Python): the ``quick`` flag selects an even
+smaller grid so the whole suite stays in the range of minutes.
+EXPERIMENTS.md records, for every figure, the trend the paper reports and
+the trend measured here.
 """
 
 from __future__ import annotations

@@ -18,28 +18,42 @@ that implicit representation:
 
 The paper uses the ``lp_solve`` library; we solve with HiGHS through the
 module-level name :data:`linprog`, which answers exactly as
-``scipy.optimize.linprog(method="highs")`` does but skips that wrapper's
-per-call set-up (a fresh solver, a fresh options manager and an option check
-per setting cost several times the solve itself on these small LPs):
+``scipy.optimize.linprog(method="highs")`` does.  One LP runs:
 
-* Each (process, thread) keeps one ``scipy.optimize._highspy._core._Highs``,
-  built on first use with the options ``linprog`` sets on every call:
-  presolve ``"on"``, the dual simplex strategy, debug level none, output and
-  console logging off.  A forked child and every new thread build their
-  own; an instance that returns a HiGHS error is dropped and rebuilt.
-* Per LP it keeps ``linprog``'s checks: non-finite entries in ``c``,
-  ``A_ub`` or ``b_ub`` raise the same ``ValueError``, and scipy's own
-  post-solve ``_check_result`` at ``tol=1e-9`` demotes an "optimal" answer
-  that violates a constraint to status 4.  The constraint matrix is passed
-  column-wise with structural zeros dropped exactly as ``csc_array`` drops
-  them, and the HiGHS status is mapped by scipy's own helper.
-* A scipy without those private names keeps stock ``linprog`` and counts
-  each solve in ``query.lp.fallback_calls``.
+* the input checks ``linprog`` makes: non-finite entries in ``c``, ``A_ub``
+  or ``b_ub`` raise the same ``ValueError``, and so does a shape mismatch;
+* one ``passModel`` that hands HiGHS the model as arrays: costs, column
+  bounds, row bounds ``(-inf, b_ub)`` and the constraint matrix column-wise,
+  with structural zeros dropped exactly as ``csc_array`` drops them, every
+  column continuous;
+* one ``run`` on this (process, thread)'s ``_Highs`` instance, built on first
+  use with the options ``linprog`` sets on every call: presolve ``"on"``,
+  the dual simplex strategy, debug level none, output and console logging
+  off.  A forked child and every new thread build their own; an instance
+  that returns a HiGHS error is dropped and rebuilt;
+* for an optimal solve, the solution getters and ``_check_result``'s own
+  test at ``tol=LINPROG_CHECK_TOL``, inlined: no NaN, ``x`` inside its
+  bounds and every row within ``10 sqrt(tol)``.  A pass returns scipy's
+  success message, computed once at import; a failure, and every
+  non-optimal solve, goes through scipy's status helper and
+  ``_check_result`` themselves.
 
-``status``, ``x`` and ``fun`` match stock ``linprog`` bit for bit, whatever
-the call history (``tests/test_geometry_linprog.py``; checked on scipy 1.17.1
-with HiGHS 1.12.0).  Warm starts are deliberately not used: a reused basis
-can end on a different optimal vertex and move the witnesses.
+On the 4,317 LPs of the cold-exact benchmark's serial queries (timed
+interleaved in one process, 2-core x86 host) one call costs about 230 µs,
+of which HiGHS's ``passModel``, ``run`` and getters are about 180 µs.
+Building a ``HighsLp`` from lists and running scipy's ``_check_result`` on
+every answer cost about 330 µs per call, and stock ``linprog``, with its
+fresh solver and per-call option checks, costs about six times this
+path.  A scipy without
+the private binding, or whose ``passModel`` takes no arrays, keeps stock
+``linprog`` and counts each solve in ``query.lp.fallback_calls``.
+
+``status``, ``x``, ``fun``, ``slack`` and ``message`` match stock ``linprog``
+bit for bit, whatever the call history (``tests/test_geometry_linprog.py``;
+checked on scipy 1.17.1 with HiGHS 1.12.0).  Warm starts and reused models
+are deliberately not used: a reused basis can end on a different optimal
+vertex and move the witnesses, and re-costing a kept model moves some optima
+by an ulp.
 
 Feasibility of an *open* cell is decided by maximising a slack ``t`` added to
 every strict inequality (scaled by the constraint's norm so ``t`` is a genuine
@@ -55,6 +69,8 @@ constraints per call (Figures 16 and 17 of the paper).
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -67,11 +83,11 @@ from scipy.optimize import linprog as _scipy_linprog
 try:
     from scipy.optimize._highspy._core import (
         HighsDebugLevel,
-        HighsLp,
         HighsModelStatus,
         HighsOptions,
         HighsStatus,
         MatrixFormat,
+        ObjSense,
         _Highs,
         kHighsInf,
         simplex_constants,
@@ -109,13 +125,17 @@ _SLACK_CAP = 1.0
 #: Per-thread slot for ``(pid, solver)``; the pid makes a forked child rebuild.
 _THREAD = threading.local()
 
+#: The bound ``_check_result`` derives from its ``tol`` argument, here
+#: ``LINPROG_CHECK_TOL``: an optimal ``x`` may leave its box, and a row its
+#: right-hand side, by at most this much.
+_CHECK_BOUND = float(np.sqrt(LINPROG_CHECK_TOL) * 10)
 
-def _thread_highs() -> "_Highs":
-    """This thread's HiGHS instance, built with ``linprog``'s options on first use."""
-    pid = os.getpid()
-    slot = getattr(_THREAD, "highs", None)
-    if slot is not None and slot[0] == pid:
-        return slot[1]
+#: The residuals of the (absent) equality rows, as ``_check_result`` takes them.
+_NO_EQUALITIES = np.zeros(0)
+
+
+def _new_highs() -> "_Highs":
+    """A HiGHS instance with the options ``linprog`` sets on every call."""
     options = HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -125,8 +145,82 @@ def _thread_highs() -> "_Highs":
     highs = _Highs()
     if highs.passOptions(options) == HighsStatus.kError:
         raise LPSolverError("HiGHS rejected the linprog options")
+    return highs
+
+
+def _thread_highs() -> "_Highs":
+    """This thread's HiGHS instance, built on first use."""
+    pid = os.getpid()
+    slot = getattr(_THREAD, "highs", None)
+    if slot is not None and slot[0] == pid:
+        return slot[1]
+    highs = _new_highs()
     _THREAD.highs = (pid, highs)
     return highs
+
+
+def _pass_model(highs, cost, box, upper, matrix) -> "HighsStatus":
+    """Hand HiGHS ``min cost . x`` s.t. ``matrix . x <= upper``, ``x`` in ``box``, as arrays.
+
+    The matrix goes column-wise with structural zeros dropped exactly as
+    ``csc_array`` drops them; every column is continuous.  Every array is
+    contiguous, which the binding takes without a converting second pass.
+    """
+    columns = cost.size
+    rows = upper.size
+    column_low, column_high = np.ascontiguousarray(box.T)
+    by_column = matrix.T
+    nonzero = by_column != 0
+    start = np.zeros(columns + 1, dtype=np.int32)
+    start[1:] = nonzero.sum(axis=1).cumsum()
+    index = np.nonzero(nonzero)[1].astype(np.int32)
+    value = by_column[nonzero]
+    return highs.passModel(
+        columns,
+        rows,
+        value.size,
+        _COLWISE,
+        _MINIMIZE,
+        0.0,
+        cost,
+        column_low,
+        column_high,
+        np.full(rows, -kHighsInf),
+        upper,
+        start,
+        index,
+        value,
+        np.zeros(columns, dtype=np.int32),
+    )
+
+
+def _optimal_answer() -> "tuple[int, str] | None":
+    """scipy's ``(status, message)`` for an optimal solve.
+
+    None when this binding's ``passModel`` takes no arrays; then
+    :data:`linprog` is the stock one.
+    """
+    highs = _new_highs()
+    try:
+        _pass_model(highs, np.zeros(0), np.zeros((0, 2)), np.zeros(0), np.zeros((0, 0)))
+    except TypeError:  # the binding has the HighsLp overload only
+        return None
+    status = HighsModelStatus.kOptimal
+    return _highs_to_scipy_status_message(status, highs.modelStatusToString(status))
+
+
+def _passes_check(x: np.ndarray, fun: float, slack: np.ndarray, box: np.ndarray) -> bool:
+    """``_check_result``'s verdict on an optimal solve: True where it keeps status 0.
+
+    NaN anywhere fails, as does an ``x`` outside ``box`` or a row violated
+    by more than :data:`_CHECK_BOUND` (a NaN fails the comparisons too).
+    """
+    return bool(
+        not math.isnan(fun)
+        and (slack >= -_CHECK_BOUND).all()
+        and (x >= box[:, 0] - _CHECK_BOUND).all()
+        and (x <= box[:, 1] + _CHECK_BOUND).all()
+    )
 
 
 def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> LinprogResult:
@@ -150,28 +244,9 @@ def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> Linpro
             raise ValueError(f"Invalid input for linprog: {name} must not contain values inf, nan, or None")
     box = np.asarray(bounds, dtype=float).reshape(columns, 2)
 
-    # Column-wise, zeros dropped: the CSC layout ``csc_array`` hands HiGHS.
-    by_column = matrix.T
-    nonzero = by_column != 0
-    lp = HighsLp()
-    lp.num_col_ = columns
-    lp.num_row_ = rows
-    lp.col_cost_ = cost.tolist()
-    lp.col_lower_ = box[:, 0].tolist()
-    lp.col_upper_ = box[:, 1].tolist()
-    lp.row_lower_ = [-kHighsInf] * rows
-    lp.row_upper_ = upper.tolist()
-    a_matrix = lp.a_matrix_
-    a_matrix.format_ = MatrixFormat.kColwise
-    a_matrix.num_col_ = columns
-    a_matrix.num_row_ = rows
-    a_matrix.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
-    a_matrix.index_ = np.nonzero(nonzero)[1].tolist()
-    a_matrix.value_ = by_column[nonzero].tolist()
-
     highs = _thread_highs()
     x = fun = slack = None
-    if highs.passModel(lp) == HighsStatus.kError:
+    if _pass_model(highs, cost, box, upper, matrix) == HighsStatus.kError:
         del _THREAD.highs
         model_status = HighsModelStatus.kModelError
         message = highs.modelStatusToString(model_status)
@@ -181,22 +256,25 @@ def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> Linpro
         message = highs.modelStatusToString(model_status)
     else:
         model_status = highs.getModelStatus()
-        info = highs.getInfo()
         if model_status == HighsModelStatus.kOptimal:
             solution = highs.getSolution()
             x = np.array(solution.col_value)
-            fun = info.objective_function_value
+            fun = highs.getObjectiveValue()
             slack = upper - np.array(solution.row_value)
             message = highs.modelStatusToString(model_status)
         else:
+            info = highs.getInfo()
             message = (
                 f"model_status is {highs.modelStatusToString(model_status)}; "
                 f"primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
             )
-    status, message = _highs_to_scipy_status_message(model_status, message)
-    status, message = _check_result(
-        x, fun, status, slack, np.zeros(0), box, LINPROG_CHECK_TOL, message, None
-    )
+    if x is not None and _passes_check(x, fun, slack, box):
+        status, message = _OPTIMAL
+    else:
+        status, message = _highs_to_scipy_status_message(model_status, message)
+        status, message = _check_result(
+            x, fun, status, slack, _NO_EQUALITIES, box, LINPROG_CHECK_TOL, message, None
+        )
     return LinprogResult(
         {"x": x, "fun": fun, "slack": slack, "status": status, "success": status == 0, "message": message}
     )
@@ -209,6 +287,12 @@ def _stock_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> Linpro
         registry.counter(LP_FALLBACK_CALLS).inc()
     return _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
 
+
+if _HAVE_HIGHS:
+    _COLWISE = int(MatrixFormat.kColwise)
+    _MINIMIZE = int(ObjSense.kMinimize)
+    _OPTIMAL = _optimal_answer()
+    _HAVE_HIGHS = _OPTIMAL is not None
 
 #: The LP solver every primitive below calls; tracing wraps this name.
 linprog = _highs_linprog if _HAVE_HIGHS else _stock_linprog
@@ -318,17 +402,22 @@ class ConstraintStack:
 
     The CellTree keeps one stack per node: a child's stack is its parent's
     plus the single halfspace labelling the connecting edge.  Each ``push``
-    copies the parent rows into one contiguous matrix (storage is per node,
-    not shared), but the whole root path is assembled exactly once per node
-    — one NumPy concatenation — instead of being rebuilt from a Python list
-    of halfspaces on every feasibility probe of that node.
+    copies the parent rows into one preallocated matrix (storage is per
+    node, not shared), so the whole root path is assembled exactly once per
+    node instead of being rebuilt from a Python list of halfspaces on every
+    feasibility probe of that node.  Each row's Euclidean norm is kept
+    beside it, computed once when the row is pushed with the reduction the
+    feasibility LP would run, ``np.linalg.norm(rows, axis=1)``, so the bits
+    match.
     """
 
-    __slots__ = ("matrix", "rhs")
+    __slots__ = ("matrix", "rhs", "norms")
 
-    def __init__(self, matrix: np.ndarray, rhs: np.ndarray) -> None:
+    def __init__(self, matrix: np.ndarray, rhs: np.ndarray, norms: np.ndarray | None = None) -> None:
         self.matrix = matrix
         self.rhs = rhs
+        #: ``np.linalg.norm(matrix, axis=1)``, one entry per row.
+        self.norms = np.linalg.norm(matrix, axis=1) if norms is None else norms
 
     @classmethod
     def for_space(cls, dimensionality: int, include_space_bounds: bool = True) -> "ConstraintStack":
@@ -341,6 +430,15 @@ class ConstraintStack:
             np.asarray([bound for _, bound in constraints], dtype=float),
         )
 
+    @classmethod
+    def assemble(cls, halfspaces: Sequence[Halfspace], dimensionality: int) -> "ConstraintStack":
+        """The closed cell of ``halfspaces`` in one system.
+
+        Its rows are in the order every optimisation LP over the cell uses:
+        the halfspaces, then the preference-space boundary.
+        """
+        return cls(*_assemble(halfspaces, dimensionality, include_space_bounds=True))
+
     @property
     def rows(self) -> int:
         """Number of constraint rows currently on the stack."""
@@ -349,22 +447,44 @@ class ConstraintStack:
     def push(self, halfspace: Halfspace) -> "ConstraintStack":
         """A new stack extended by one halfspace (the receiver is unchanged)."""
         coefficients, bound = halfspace.as_leq_constraint()
-        return ConstraintStack(
-            np.vstack([self.matrix, coefficients[None, :]]),
-            np.append(self.rhs, bound),
-        )
+        rows, columns = self.matrix.shape
+        matrix = np.empty((rows + 1, columns))
+        matrix[:rows] = self.matrix
+        matrix[rows] = coefficients
+        rhs = np.empty(rows + 1)
+        rhs[:rows] = self.rhs
+        rhs[rows] = bound
+        norms = np.empty(rows + 1)
+        norms[:rows] = self.norms
+        norms[rows:] = np.linalg.norm(matrix[rows:], axis=1)
+        return ConstraintStack(matrix, rhs, norms)
 
     def probe(self, halfspace: Halfspace) -> tuple[np.ndarray, np.ndarray]:
-        """One-off ``(A, b)`` with ``halfspace`` appended, for a feasibility probe."""
-        coefficients, bound = halfspace.as_leq_constraint()
-        return (
-            np.vstack([self.matrix, coefficients[None, :]]),
-            np.append(self.rhs, bound),
-        )
+        """One-off ``(A, b)`` with ``halfspace`` appended: the arrays :meth:`push` stores."""
+        grown = self.push(halfspace)
+        return grown.matrix, grown.rhs
 
     def memory_bytes(self) -> int:
-        """Size of the stored rows in bytes (space-consumption accounting)."""
-        return int(self.matrix.nbytes + self.rhs.nbytes)
+        """Size of the stored rows and their norms in bytes (space-consumption accounting)."""
+        return int(self.matrix.nbytes + self.rhs.nbytes + self.norms.nbytes)
+
+
+@functools.cache
+def _lp_frame(dimensionality: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays every LP over ``dimensionality`` weights passes.
+
+    The feasibility LP's cost (maximise the slack, its last variable) and
+    variable box, ``(-1, 2)`` per weight and ``(0, 1)`` for the slack; and
+    the optimisation LPs' box, the weights' rows alone.
+    """
+    objective = np.zeros(dimensionality + 1)
+    objective[-1] = -1.0
+    box = np.empty((dimensionality + 1, 2))
+    box[:] = (-1.0, 2.0)
+    box[-1] = (0.0, _SLACK_CAP)
+    objective.setflags(write=False)
+    box.setflags(write=False)
+    return objective, box, box[:-1]
 
 
 def solve_feasibility(
@@ -373,34 +493,39 @@ def solve_feasibility(
     dimensionality: int,
     counters: LPCounters | None = None,
     tolerance: Tolerance | float | None = None,
+    *,
+    norms: np.ndarray | None = None,
 ) -> FeasibilityResult:
     """Interior-feasibility LP over a pre-assembled ``A . w <= b`` system.
 
     This is the hot-path entry used by the CellTree (via
-    :class:`ConstraintStack`); :func:`cell_feasible` is the halfspace-list
-    convenience wrapper around it.  The feasibility decision is made by the
-    shared :class:`~repro.robust.Tolerance` policy: the normalized interior
-    margin must exceed ``tolerance.feasible_margin(row norms)``, which
-    guarantees the returned witness passes every constraint's side test
-    strictly (see :mod:`repro.robust.tolerance`).
+    :class:`ConstraintStack`, which passes its kept row ``norms``; without
+    them they are computed here); :func:`cell_feasible` is the
+    halfspace-list convenience wrapper around it.  The feasibility decision
+    is made by the shared :class:`~repro.robust.Tolerance` policy: the
+    normalized interior margin must exceed
+    ``tolerance.feasible_margin(row norms)``, which guarantees the returned
+    witness passes every constraint's side test strictly (see
+    :mod:`repro.robust.tolerance`).
     """
     policy = resolve_tolerance(tolerance)
+    rows = matrix.shape[0]
     if counters is not None:
-        counters.record("feasibility", matrix.shape[0])
+        counters.record("feasibility", rows)
     registry = active_registry()
     if registry is not None:
-        registry.histogram(LP_CONSTRAINTS).observe(int(matrix.shape[0]))
-    if matrix.shape[0] == 0:
+        registry.histogram(LP_CONSTRAINTS).observe(int(rows))
+    if rows == 0:
         # No constraints at all: the whole space qualifies; pick its centroid.
         witness = np.full(dimensionality, 1.0 / (dimensionality + 1.0))
         return FeasibilityResult(True, witness, 1.0)
 
-    norms = policy.safe_norms(np.linalg.norm(matrix, axis=1))
+    norms = policy.safe_norms(np.linalg.norm(matrix, axis=1) if norms is None else norms)
     # Variables: [w_1 .. w_d', t]; maximise t.
-    augmented = np.hstack([matrix, norms.reshape(-1, 1)])
-    objective = np.zeros(dimensionality + 1)
-    objective[-1] = -1.0
-    variable_bounds = [(-1.0, 2.0)] * dimensionality + [(0.0, _SLACK_CAP)]
+    augmented = np.empty((rows, dimensionality + 1))
+    augmented[:, :dimensionality] = matrix
+    augmented[:, dimensionality] = norms
+    objective, variable_bounds, _ = _lp_frame(dimensionality)
     outcome = linprog(
         objective,
         A_ub=augmented,
@@ -438,26 +563,28 @@ def cell_feasible(
 
 def _optimize(
     objective: np.ndarray,
-    halfspaces: Sequence[Halfspace],
+    halfspaces: "Sequence[Halfspace] | ConstraintStack",
     dimensionality: int,
     counters: LPCounters | None,
     include_space_bounds: bool,
     extra_constraints: Sequence[tuple[np.ndarray, float]] | None,
 ) -> OptimizeResult:
-    matrix, bounds = _assemble(
-        halfspaces, dimensionality, include_space_bounds, extra_constraints
-    )
+    if isinstance(halfspaces, ConstraintStack):
+        matrix, bounds = halfspaces.matrix, halfspaces.rhs
+    else:
+        matrix, bounds = _assemble(
+            halfspaces, dimensionality, include_space_bounds, extra_constraints
+        )
     if counters is not None:
         counters.record("optimize", matrix.shape[0])
     registry = active_registry()
     if registry is not None:
         registry.histogram(LP_CONSTRAINTS).observe(int(matrix.shape[0]))
-    variable_bounds = [(-1.0, 2.0)] * dimensionality
     outcome = linprog(
-        np.asarray(objective, dtype=float),
+        objective,
         A_ub=matrix if matrix.size else None,
         b_ub=bounds if matrix.size else None,
-        bounds=variable_bounds,
+        bounds=_lp_frame(dimensionality)[2],
         method="highs",
     )
     if not outcome.success:
@@ -469,13 +596,19 @@ def _optimize(
 
 def minimize_linear(
     objective: np.ndarray,
-    halfspaces: Sequence[Halfspace],
+    halfspaces: "Sequence[Halfspace] | ConstraintStack",
     dimensionality: int,
     counters: LPCounters | None = None,
     include_space_bounds: bool = True,
     extra_constraints: Sequence[tuple[np.ndarray, float]] | None = None,
 ) -> OptimizeResult:
-    """Minimise ``objective . w`` over the closure of the cell."""
+    """Minimise ``objective . w`` over the closure of the cell.
+
+    The cell is its halfspaces, or its whole system already assembled by
+    :meth:`ConstraintStack.assemble` (the same rows in the same order; the
+    last two options then do not apply), which lets every LP of one bound
+    evaluation share one assembly.
+    """
     return _optimize(
         np.asarray(objective, dtype=float),
         halfspaces,
@@ -488,13 +621,13 @@ def minimize_linear(
 
 def maximize_linear(
     objective: np.ndarray,
-    halfspaces: Sequence[Halfspace],
+    halfspaces: "Sequence[Halfspace] | ConstraintStack",
     dimensionality: int,
     counters: LPCounters | None = None,
     include_space_bounds: bool = True,
     extra_constraints: Sequence[tuple[np.ndarray, float]] | None = None,
 ) -> OptimizeResult:
-    """Maximise ``objective . w`` over the closure of the cell."""
+    """Maximise ``objective . w`` over the closure of the cell (see :func:`minimize_linear`)."""
     outcome = _optimize(
         -np.asarray(objective, dtype=float),
         halfspaces,

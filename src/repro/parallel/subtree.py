@@ -53,7 +53,7 @@ from ..core.cta import open_cta
 from ..core.result import FrontierCell, KSPRResult
 from ..geometry.halfspace import Hyperplane
 from ..geometry.linprog import ConstraintStack, LPCounters
-from ..obs.metrics import LP_CONSTRAINTS, MetricsRegistry, active_registry, use_registry
+from ..obs.metrics import LP_CONSTRAINTS, Counter, MetricsRegistry, active_registry, use_registry
 from ..obs.trace import current_tracer
 from ..records import Dataset
 from ..robust import Tolerance
@@ -74,16 +74,17 @@ def _expand_shard_group(
     Returns, per shard, its index, the reported cells (local bounding
     halfspaces, absolute rank, witness), the LP counter totals, the number
     of CellTree nodes created, the shard's wall-clock seconds, and — when
-    the driver asked for histogram collection — the shard's LP
+    the calling process has an active registry — the shard's registry: its LP
     constraint-count bucket counts (fixed bounds, so the driver-side merge
-    is exact and worker-count-invariant).
+    is exact and worker-count-invariant) and its counter values, such as
+    ``query.lp.vertex_certificates``.
     """
-    dimensionality, k, hyperplanes, shards, tolerance, collect_histogram = payload
+    dimensionality, k, hyperplanes, shards, tolerance, collect_metrics = payload
     results = []
     for shard in shards:
         shard_start = time.perf_counter()
         counters = LPCounters()
-        registry = MetricsRegistry() if collect_histogram else None
+        registry = MetricsRegistry() if collect_metrics else None
         constraints = ConstraintStack.for_space(dimensionality)
         for halfspace in shard.prefix:
             constraints = constraints.push(halfspace)
@@ -107,9 +108,16 @@ def _expand_shard_group(
         ]
         if registry is not None:
             histogram = registry.histogram(LP_CONSTRAINTS)
-            histogram_payload = (list(histogram.counts), histogram.total, histogram.sum)
+            metrics_payload = (
+                (list(histogram.counts), histogram.total, histogram.sum),
+                {
+                    instrument.name: instrument.value
+                    for instrument in registry.instruments()
+                    if isinstance(instrument, Counter)
+                },
+            )
         else:
-            histogram_payload = None
+            metrics_payload = None
         results.append(
             (
                 shard.index,
@@ -117,7 +125,7 @@ def _expand_shard_group(
                 (counters.feasibility_calls, counters.optimize_calls, counters.total_constraints),
                 tree.node_count(),
                 time.perf_counter() - shard_start,
-                histogram_payload,
+                metrics_payload,
             )
         )
     return results
@@ -238,16 +246,19 @@ def parallel_ticks(
 
     def consume_group(group_result) -> None:
         nonlocal extra_nodes
-        for shard_index, cells, counter_totals, nodes_created, elapsed, histogram in group_result:
+        for shard_index, cells, counter_totals, nodes_created, elapsed, metrics in group_result:
             cells_by_index[shard_index] = cells
             meta_by_index[shard_index] = (counter_totals, nodes_created, elapsed)
             worker_counters = LPCounters(*counter_totals)
             context.counters.merge(worker_counters)
-            if registry is not None and histogram is not None:
+            if registry is not None and metrics is not None:
                 # Fixed bucket bounds make this merge exact: the summed
-                # distribution equals the single-process run's, regardless
-                # of how shards were grouped onto workers.
+                # distribution, like the summed counters, is the same
+                # however shards were grouped onto workers.
+                histogram, counter_values = metrics
                 registry.histogram(LP_CONSTRAINTS).merge_counts(*histogram)
+                for name, value in counter_values.items():
+                    registry.counter(name).inc(value)
             extra_nodes += nodes_created - 1  # the worker root IS the seed leaf
 
     def commit_ready() -> list[ReportedCell]:

@@ -23,6 +23,7 @@ import test_differential_kspr as grid
 import test_robustness_fuzz as fuzz
 from repro import Dataset, cta, lpcta, pcta
 from repro.core.original_space import olp_cta, op_cta
+from repro.data import independent_dataset
 from repro.geometry.halfspace import Hyperplane, build_hyperplane
 from repro.geometry.linprog import ConstraintStack, LPCounters, solve_feasibility
 from repro.core.celltree import CellTree, CellTreeNode
@@ -370,6 +371,28 @@ class TestVertexCertificate:
         assert celltree_module._without_apex(cone, vertices).tolist() == [[1.0, 0.0], [0.5, 0.5]]
         cut_twice = cone.push(Hyperplane(np.array([1.0, 0.0]), 0.75).negative())
         assert celltree_module._without_apex(cut_twice, vertices) is vertices
+
+    def test_apex_free_vertices_are_computed_once_per_node(self, monkeypatch):
+        """OP-CTA probes every node with hyperplanes through the origin; the
+        apex-free vertex set is built with the vertices, not per probe."""
+        calls: dict[int, int] = {}
+        stacks: list = []  # keeps every stack alive, so ids stay unique
+        without_apex = celltree_module._without_apex
+
+        def counting(constraints, vertices):
+            stacks.append(constraints)
+            calls[id(constraints)] = calls.get(id(constraints), 0) + 1
+            return without_apex(constraints, vertices)
+
+        monkeypatch.setattr(celltree_module, "_without_apex", counting)
+        dataset = independent_dataset(150, 3, seed=7)
+        focal = dataset.values[dataset.values.sum(axis=1).argmax()]  # a skyline record
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = op_cta(dataset, focal, 2)
+        assert _certificates(registry) > 0
+        assert 0 < len(calls) <= result.stats.celltree_nodes
+        assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("source,scale,case", _oracle_cases(), ids=lambda v: str(v))
     def test_every_certificate_agrees_with_the_lp(self, monkeypatch, source, scale, case):

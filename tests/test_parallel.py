@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
+import repro.core.celltree as celltree_module
+import repro.geometry.linprog as linprog_module
+import repro.geometry.polytope as polytope_module
+import repro.parallel.subtree as subtree_module
+import test_differential_kspr as grid
 from repro import Dataset, Engine, kspr
+from repro.core.celltree import CellTree
 from repro.core.cta import cta
 from repro.data import anticorrelated_dataset, independent_dataset
 from repro.engine import QueryBatch, QuerySpec
@@ -16,6 +25,10 @@ from repro.parallel import (
     resolve_workers,
     results_identical,
 )
+from repro.exceptions import GeometryError
+from repro.obs import MetricsRegistry, use_registry
+from repro.obs.metrics import LP_CONSTRAINTS, Histogram
+from repro.obs.names import LP_FALLBACK_CALLS, LP_VERTEX_CERTIFICATES, LP_VERTEX_FALLBACKS
 from repro.parallel.compare import assert_results_identical
 
 
@@ -267,3 +280,94 @@ class TestEngineIntegration:
         stale = "not-the-current-fingerprint"
         assert not engine.adopt_result(stale, focal, 2, None, {}, result)
         assert engine.adopt_result(engine.fingerprint, focal, 2, None, {}, result)
+
+
+class TestShardedMetrics:
+    """The caller's registry holds every shard's ``query.lp.*`` counters and histogram.
+
+    Sharded CTA does not solve the LPs serial CTA solves: a worker starts
+    probing at its seed leaf, while the serial tree probes that leaf's
+    ancestors first.  So the oracle is the sharded run itself, with its shard
+    groups on threads of this process, where hooks count each certificate,
+    failed vertex enumeration and LP as it happens.
+    """
+
+    COUNTERS = (LP_VERTEX_CERTIFICATES, LP_VERTEX_FALLBACKS, LP_FALLBACK_CALLS)
+
+    @staticmethod
+    def _case(case):
+        dataset, focal, _ = grid._build_case(*case)
+        return dataset, focal, case[2]
+
+    @classmethod
+    def _tally(cls, monkeypatch, dataset, focal, k, stock: bool) -> tuple[dict, Histogram, MetricsRegistry]:
+        """Expected counter values and histogram of one sharded run, and that run's registry."""
+        certificates: list = []
+        failures: list = []
+        rows: list = []
+        certified_empty = CellTree._certified_empty
+        enumerate_vertices = celltree_module.polytope_vertices
+        solve = linprog_module.linprog
+
+        def counting_certificate(tree, node, halfspace):
+            verdict = certified_empty(tree, node, halfspace)
+            if verdict:
+                certificates.append(1)
+            return verdict
+
+        def counting_enumeration(*args, **kwargs):
+            try:
+                return enumerate_vertices(*args, **kwargs)
+            except GeometryError:
+                failures.append(1)
+                raise
+
+        def counting_solve(c, A_ub=None, b_ub=None, **kwargs):
+            rows.append(0 if A_ub is None else len(A_ub))
+            return solve(c, A_ub=A_ub, b_ub=b_ub, **kwargs)
+
+        monkeypatch.setattr(CellTree, "_certified_empty", counting_certificate)
+        monkeypatch.setattr(celltree_module, "polytope_vertices", counting_enumeration)
+        monkeypatch.setattr(linprog_module, "linprog", counting_solve)
+        monkeypatch.setattr(subtree_module, "ProcessPoolExecutor", ThreadPoolExecutor)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            parallel_cta(dataset, focal, k, workers=2, shard_factor=2)
+        histogram = Histogram(LP_CONSTRAINTS)
+        for count in rows:
+            histogram.observe(count)
+        expected = dict(zip(cls.COUNTERS, (len(certificates), len(failures), len(rows) if stock else 0)))
+        return expected, histogram, registry
+
+    @classmethod
+    def _assert_holds(cls, registry: MetricsRegistry, expected: dict, histogram: Histogram) -> None:
+        assert {name: registry.counter(name).value for name in cls.COUNTERS} == expected
+        assert registry.histogram(LP_CONSTRAINTS).as_dict() == histogram.as_dict()
+
+    @pytest.mark.parametrize(
+        "case",
+        [(16, 3, 3, "independent", 8000), (12, 4, 2, "anticorrelated", 11001), (14, 4, 3, "independent", 12001)],
+        ids=str,
+    )
+    def test_worker_processes_ship_their_counters(self, monkeypatch, case):
+        dataset, focal, k = self._case(case)
+        pooled = MetricsRegistry()
+        with use_registry(pooled):
+            parallel_cta(dataset, focal, k, workers=2, shard_factor=2)
+        expected, histogram, threaded = self._tally(monkeypatch, dataset, focal, k, stock=False)
+        assert expected[LP_VERTEX_CERTIFICATES] > 0
+        self._assert_holds(threaded, expected, histogram)
+        self._assert_holds(pooled, expected, histogram)
+
+    def test_fallback_counters_merge_too(self, monkeypatch):
+        """Stock linprog and a failing Qhull make the other two counters count."""
+        dataset, focal, k = self._case((14, 3, 2, "anticorrelated", 7000))
+        monkeypatch.setattr(linprog_module, "linprog", linprog_module._stock_linprog)
+        monkeypatch.setattr(polytope_module, "HalfspaceIntersection", _qhull_fails)
+        expected, histogram, registry = self._tally(monkeypatch, dataset, focal, k, stock=True)
+        assert expected[LP_VERTEX_FALLBACKS] > 0 and expected[LP_FALLBACK_CALLS] > 0
+        self._assert_holds(registry, expected, histogram)
+
+
+def _qhull_fails(*args, **kwargs):
+    raise QhullError("vertex enumeration forced to fail")
