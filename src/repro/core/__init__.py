@@ -11,8 +11,7 @@
 """
 
 from .bounds import BoundsMode, RankBounds, TransformedBoundEvaluator
-from .cell import CellView
-from .celltree import CellTree, CellTreeNode
+from .celltree import Cell, CellTree, CellTreeNode
 from .cta import cta
 from .lpcta import lpcta
 from .original_space import o_cta, olp_cta, op_cta
@@ -25,7 +24,7 @@ __all__ = [
     "BoundsMode",
     "RankBounds",
     "TransformedBoundEvaluator",
-    "CellView",
+    "Cell",
     "CellTree",
     "CellTreeNode",
     "cta",

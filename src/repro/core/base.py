@@ -45,7 +45,7 @@ from ..index.rtree import AggregateRTree
 from ..obs.trace import current_tracer
 from ..records import Dataset, FocalPartition
 from ..robust import DEFAULT_TOLERANCE, Tolerance, resolve_tolerance
-from .celltree import CellTree
+from .celltree import CellTree, CellTreeNode
 from .result import FrontierCell, KSPRResult, PreferenceRegion, QueryStats
 
 __all__ = [
@@ -75,6 +75,11 @@ class ReportedCell:
     halfspaces: tuple[Halfspace, ...]
     rank: int
     witness: np.ndarray | None
+
+    @classmethod
+    def of(cls, leaf: CellTreeNode, rank: int) -> "ReportedCell":
+        """Active ``leaf`` leaving the tree: root-path halfspaces, ``rank``, first witness."""
+        return cls(tuple(leaf.path_halfspaces()), rank, leaf.cell.witness)
 
 
 @dataclass
@@ -114,7 +119,7 @@ def report_leaves(tree: CellTree, k: int) -> list[ReportedCell]:
     exact); before that, they are the undecided frontier.
     """
     return [
-        ReportedCell(tuple(leaf.path_halfspaces()), rank, leaf.witness)
+        ReportedCell.of(leaf, rank)
         for leaf in tree.iter_active_leaves()
         if (rank := leaf.rank()) <= k
     ]

@@ -1,8 +1,8 @@
 """Look-ahead rank bounds for LP-CTA (Section 6).
 
-Given a cell ``c`` (implicitly represented by its bounding halfspaces) the
-focal record's rank anywhere inside ``c`` can be bracketed without inserting
-any further hyperplanes:
+Given a cell ``c`` (a CellTree leaf's :class:`~repro.core.celltree.Cell`)
+the focal record's rank anywhere inside ``c`` can be bracketed without
+inserting any further hyperplanes:
 
 * ``Rank_lower(c) = 1 + #{r : min_c S(r) > max_c S(p)}`` — records that beat
   the focal record *everywhere* in ``c``;
@@ -20,6 +20,11 @@ reported immediately.  Three refinements are implemented, selectable through
 * ``FAST`` — additionally, the cheap ``O(d)`` *fast bounds* built from the
   cell's min-/max-vectors filter entries before any tight LP bound is computed
   (Section 6.3).  This is the full LP-CTA configuration.
+
+Every bound LP of one evaluation solves over the cell's own rows, rotated to
+the edge labels first (:meth:`~repro.core.celltree.Cell.edges_first`): the
+system a per-LP assembly of the cell's halfspaces builds, bit for bit, so
+nothing is rebuilt from halfspaces.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from ..geometry.halfspace import Halfspace
 from ..geometry.linprog import ConstraintStack, LPCounters, maximize_linear, minimize_linear
 from ..index.rtree import AggregateRTree, RTreeNode
 from ..robust import Tolerance, resolve_tolerance
-from .cell import CellView
+from .celltree import Cell
 
 __all__ = [
     "BoundsMode",
@@ -95,8 +100,8 @@ def cell_score_interval(
 ) -> tuple[float, float]:
     """Tight ``[min, max]`` score of a d-dimensional point over a cell (two LPs).
 
-    The cell is its halfspaces or its system from
-    :meth:`~repro.geometry.linprog.ConstraintStack.assemble`.
+    The cell is its halfspaces or its rows from
+    :meth:`~repro.core.celltree.Cell.edges_first`.
     """
     coefficients, constant = score_objective(point)
     low = minimize_linear(coefficients, halfspaces, dimensionality, counters).value + constant
@@ -160,13 +165,12 @@ class TransformedBoundEvaluator:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def evaluate(self, cell: CellView, k: int) -> RankBounds:
+    def evaluate(self, cell: Cell, k: int) -> RankBounds:
         """Compute rank bounds for ``cell``, stopping early once ``lower > k``.
 
-        The cell's constraint system is assembled once; every LP of the
-        evaluation solves over it.
+        Every LP of the evaluation solves over the cell's rows.
         """
-        system = ConstraintStack.assemble(cell.bounding_halfspaces, self.dimensionality)
+        system = cell.edges_first()
         focal_low, focal_high = cell_score_interval(
             self.focal, system, self.dimensionality, self.counters
         )
@@ -344,13 +348,12 @@ class OriginalSpaceBoundEvaluator:
         self.counters = counters
         self.tolerance = resolve_tolerance(tolerance)
 
-    def evaluate(self, cell: CellView, k: int) -> RankBounds:
+    def evaluate(self, cell: Cell, k: int) -> RankBounds:
         """Compute rank bounds for a cone cell of the original space.
 
-        The cell's constraint system is assembled once; every LP of the
-        evaluation solves over it.
+        Every LP of the evaluation solves over the cell's rows.
         """
-        system = ConstraintStack.assemble(cell.bounding_halfspaces, self.dimensionality)
+        system = cell.edges_first()
         state = _TraversalState(lower=1, upper=1)
         if self.tree.dataset.cardinality:
             self._visit_node(self.tree.visit(self.tree.root), system, state, k)

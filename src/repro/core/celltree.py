@@ -13,6 +13,16 @@ The rank of a node is ``1 +`` the number of positive halfspaces among its edge
 labels and the cover sets on its root path (Lemma 1).  A node whose rank
 exceeds ``k`` is eliminated together with its subtree.
 
+The tree keeps only that structure.  Every geometric question about a node
+goes to its :class:`Cell`: the closed cell bounded by the preference space
+and the edge labels on the node's root path (Lemma 2), kept as one
+constraint system with the node's cached interior witnesses and, once a
+probe needs them, its vertices.  A cell settles the insertion's probes
+(:meth:`Cell.probe`, Cases I and II), splits into its children's cells
+(:meth:`Cell.split`, Case III) and hands LP-CTA's bound evaluators its rows
+(:meth:`Cell.edges_first`).  Halfspace tuples are built only for a cell
+that leaves the tree: a reported or frontier cell, a shard's prefix.
+
 Optimisations implemented here, matching the paper:
 
 * **Lemma 2** — only the edge labels on the root path participate in LP
@@ -53,8 +63,9 @@ shortcuts leave open:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+import copy
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -65,9 +76,8 @@ from ..geometry.polytope import polytope_vertices
 from ..obs.metrics import active_registry
 from ..obs.names import LP_VERTEX_CERTIFICATES, LP_VERTEX_FALLBACKS
 from ..robust import LP_PRIMAL_FEASIBILITY_TOL, Tolerance, resolve_tolerance
-from .cell import CellView
 
-__all__ = ["CellTreeNode", "CellTree", "InsertionStats"]
+__all__ = ["Cell", "CellTreeNode", "CellTree", "InsertionStats"]
 
 #: Largest cell dimensionality ``d'`` whose trees enumerate vertices for the
 #: certificate.  Qhull's time, and the time to test a probe against a cell's
@@ -79,6 +89,10 @@ __all__ = ["CellTreeNode", "CellTree", "InsertionStats"]
 #: benchmark workload runs above ``d' = 3``, so the cap is not checked end
 #: to end.
 VERTEX_CERTIFICATE_MAX_DIMENSION = 5
+
+#: What a probe that found the side non-empty returns: a point strictly
+#: inside the side, and the side's rows when its LP built them (else None).
+Side = tuple[np.ndarray, "ConstraintStack | None"]
 
 
 @dataclass
@@ -95,6 +109,203 @@ class InsertionStats:
     degenerate_hyperplanes: int = 0
 
 
+class Cell:
+    """The closed cell of one CellTree node, and every point known in it.
+
+    * :attr:`constraints` — the rows ``A . w <= b`` of the closed cell, each
+      with its norm: the preference-space boundary first, then the edge
+      labels of the root path in root-to-node order;
+    * :attr:`witnesses` — cached interior points, one per array row, oldest
+      first (duplicates kept, at most :attr:`MAX_WITNESSES`); any of them can
+      settle a later side test in ``O(d)``;
+    * :attr:`vertices` / :attr:`apex_free` — the closed cell's vertices,
+      enumerated the first time a probe needs an LP.
+
+    No array of a cell is written in place: a new witness replaces the
+    witness array, so a copy of a cell shares every array safely.
+    """
+
+    __slots__ = ("constraints", "witnesses", "vertices", "apex_free")
+
+    #: Maximum number of cached witness points kept per cell.
+    MAX_WITNESSES = 12
+
+    def __init__(self, constraints: ConstraintStack, witnesses: np.ndarray) -> None:
+        self.constraints = constraints
+        #: ``(count, d')`` array of cached interior points.
+        self.witnesses = witnesses
+        #: Vertices of the closed cell, enumerated the first time a probe of
+        #: the cell needs an LP (empty when they cannot be).
+        self.vertices: np.ndarray | None = None
+        #: :attr:`vertices` without the apex of a cone cut by one row (see
+        #: :func:`_without_apex`; the vertices themselves for any other
+        #: cell), what a probe by a hyperplane through the origin tests.
+        #: Computed with the vertices.
+        self.apex_free: np.ndarray | None = None
+
+    @classmethod
+    def space(cls, dimensionality: int) -> "Cell":
+        """The whole preference space, witnessed by the simplex's centroid."""
+        centroid = np.full((1, dimensionality), 1.0 / (dimensionality + 1.0))
+        return cls(ConstraintStack.for_space(dimensionality), centroid)
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        """A copy of the first cached witness (None when there is none).
+
+        A copy, so a cell that leaves the tree holds none of its arrays.
+        """
+        return self.witnesses[0].copy() if len(self.witnesses) else None
+
+    def add_witness(self, point: np.ndarray) -> None:
+        """Cache one more interior point (bounded-size cache)."""
+        if len(self.witnesses) < self.MAX_WITNESSES:
+            self.witnesses = np.concatenate((self.witnesses, point[None, :]))
+
+    def witnessed_sides(
+        self, hyperplane: Hyperplane, tolerance: Tolerance
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The first cached witness strictly on each side of ``hyperplane`` (negative, positive).
+
+        One vectorised sign evaluation over every cached witness (the witness
+        shortcut of Section 4.3.2); None for a side no witness is inside.
+        """
+        side_margin = tolerance.margin(hyperplane.norm)
+        values = hyperplane.evaluate_many(self.witnesses)
+        negative = (values < -side_margin).nonzero()[0]
+        positive = (values > side_margin).nonzero()[0]
+        return (
+            self.witnesses[negative[0]] if negative.size else None,
+            self.witnesses[positive[0]] if positive.size else None,
+        )
+
+    def probe(
+        self,
+        halfspace: Halfspace,
+        witness: np.ndarray | None,
+        counters: LPCounters,
+        tolerance: Tolerance,
+    ) -> Side | None:
+        """Does open ``halfspace`` meet the cell?  Cases I and II of the insertion.
+
+        ``witness`` is a cached witness inside ``halfspace`` when
+        :meth:`witnessed_sides` found one, which settles the probe.  Else the
+        vertex certificate may prove the side empty, and else the
+        feasibility LP over the cell's rows plus ``halfspace`` decides; its
+        witness is cached here.  None when the side misses the cell.
+        """
+        if witness is not None:
+            return witness, None
+        if self._certified_empty(halfspace, tolerance):
+            return None
+        rows = self.constraints.push(halfspace)
+        outcome = solve_feasibility(
+            rows.matrix,
+            rows.rhs,
+            rows.matrix.shape[1],
+            counters,
+            tolerance=tolerance,
+            norms=rows.norms,
+        )
+        if not outcome.feasible:
+            return None
+        self.add_witness(outcome.witness)
+        return outcome.witness, rows
+
+    def split(
+        self, negative: Halfspace, positive: Halfspace, sides: list[Side], tolerance: Tolerance
+    ) -> tuple["Cell", "Cell"]:
+        """The two children's cells when the hyperplane cuts this cell (Case III).
+
+        ``sides`` are the probes' answers for ``negative`` and ``positive``.
+        Each child's rows are this cell's plus its halfspace.  Its witnesses
+        are its side's point, then every witness of this cell strictly inside
+        its halfspace, in order, up to :attr:`MAX_WITNESSES`.
+        """
+        hyperplane = negative.hyperplane
+        side_margin = tolerance.margin(hyperplane.norm)
+        values = hyperplane.evaluate_many(self.witnesses)
+        masks = (values < -side_margin, values > side_margin)
+        children = []
+        for halfspace, (witness, rows), inside in zip((negative, positive), sides, masks):
+            inherited = self.witnesses[inside][: self.MAX_WITNESSES - 1]
+            children.append(
+                Cell(
+                    rows if rows is not None else self.constraints.push(halfspace),
+                    np.concatenate((witness[None, :], inherited)),
+                )
+            )
+        return children[0], children[1]
+
+    def edges_first(self) -> ConstraintStack:
+        """The cell's rows with the edge labels first, then the preference-space boundary.
+
+        The order every per-LP assembly of the cell's halfspaces uses, so a
+        bound LP over these rows answers bit for bit as over that assembly.
+        Two slices rotate the boundary's ``d' + 1`` rows behind the edges.
+        """
+        space = self.constraints.matrix.shape[1] + 1
+        return ConstraintStack(
+            *(
+                np.concatenate((rows[space:], rows[:space]))
+                for rows in (self.constraints.matrix, self.constraints.rhs, self.constraints.norms)
+            )
+        )
+
+    def memory_bytes(self) -> int:
+        """Size of the cell's rows, witnesses and vertices in bytes."""
+        total = self.constraints.memory_bytes() + self.witnesses.nbytes
+        if self.vertices is not None:
+            total += self.vertices.nbytes
+        if self.apex_free is not None and self.apex_free is not self.vertices:
+            total += self.apex_free.nbytes
+        return total
+
+    def _certified_empty(self, halfspace: Halfspace, tolerance: Tolerance) -> bool:
+        """Whether the cell's vertices prove that open ``halfspace`` misses the cell.
+
+        True only when the feasibility LP of this probe would answer
+        "infeasible" (module docstring); counted in the active registry's
+        ``query.lp.vertex_certificates``.  Always False above
+        :data:`VERTEX_CERTIFICATE_MAX_DIMENSION`.
+        """
+        if self.constraints.matrix.shape[1] > VERTEX_CERTIFICATE_MAX_DIMENSION:
+            return False
+        if self.vertices is None:
+            self.vertices = self._enumerate_vertices(tolerance)
+            self.apex_free = _without_apex(self, self.vertices)
+        hyperplane = halfspace.hyperplane
+        vertices = self.apex_free if hyperplane.offset == 0.0 else self.vertices
+        if not len(vertices):
+            return False
+        values = hyperplane.evaluate_many(vertices)
+        if halfspace.is_positive:
+            values = -values
+        band = tolerance.margin(hyperplane.norm) + LP_PRIMAL_FEASIBILITY_TOL
+        if not np.all(values > band):
+            return False
+        registry = active_registry()
+        if registry is not None:
+            registry.counter(LP_VERTEX_CERTIFICATES).inc()
+        return True
+
+    def _enumerate_vertices(self, tolerance: Tolerance) -> np.ndarray:
+        """Vertices of the closed cell; empty when they cannot be found."""
+        matrix = self.constraints.matrix
+        try:
+            return polytope_vertices(
+                matrix,
+                self.constraints.rhs,
+                self.witnesses[0] if len(self.witnesses) else None,
+                tolerance,
+            )
+        except GeometryError:
+            registry = active_registry()
+            if registry is not None:
+                registry.counter(LP_VERTEX_FALLBACKS).inc()
+            return np.empty((0, matrix.shape[1]))
+
+
 class CellTreeNode:
     """One node of the CellTree (an implicit region of the preference space)."""
 
@@ -107,16 +318,14 @@ class CellTreeNode:
         "positive_cover",
         "eliminated",
         "reported",
-        "witness",
-        "witnesses",
         "depth",
         "bounds_checked",
-        "constraints",
-        "vertices",
-        "apex_free",
+        "cell",
     )
 
-    def __init__(self, parent: "CellTreeNode | None", edge: Halfspace | None) -> None:
+    def __init__(
+        self, parent: "CellTreeNode | None", edge: Halfspace | None, cell: Cell | None
+    ) -> None:
         self.parent = parent
         #: Halfspace labelling the edge from ``parent`` to this node.
         self.edge = edge
@@ -128,40 +337,12 @@ class CellTreeNode:
         self.positive_cover = 0
         self.eliminated = False
         self.reported = False
-        #: Cached interior witness point (Section 4.3.2).
-        self.witness: np.ndarray | None = None
-        #: Additional cached interior points (generalised witness cache): any
-        #: point known to lie inside the node can settle later side tests in
-        #: O(d) and is inherited by the child whose edge halfspace contains it.
-        self.witnesses: list[np.ndarray] = []
         self.depth = 0 if parent is None else parent.depth + 1
         #: Whether LP-CTA has already computed look-ahead bounds for this leaf.
         self.bounds_checked = False
-        #: Pre-assembled constraint rows of the root path (space bounds plus
-        #: edge labels), shared with siblings up to the parent rows.  Freed
-        #: when the node is eliminated or reported.
-        self.constraints: ConstraintStack | None = None
-        #: Vertices of the closed cell bounded by :attr:`constraints`,
-        #: enumerated the first time a probe of this node needs an LP (empty
-        #: when they cannot be).  Freed together with the constraint rows.
-        self.vertices: np.ndarray | None = None
-        #: :attr:`vertices` without the apex of a cone cut by one row (see
-        #: :func:`_without_apex`; the vertices themselves for any other
-        #: cell), what a probe by a hyperplane through the origin tests.
-        #: Computed and freed with the vertices.
-        self.apex_free: np.ndarray | None = None
-
-    #: Maximum number of cached witness points kept per node.
-    MAX_WITNESSES = 12
-
-    def add_witness(self, point: np.ndarray | None) -> None:
-        """Cache an interior point of this node (bounded-size cache)."""
-        if point is None:
-            return
-        if self.witness is None:
-            self.witness = point
-        if len(self.witnesses) < self.MAX_WITNESSES:
-            self.witnesses.append(point)
+        #: The node's closed cell; freed when the node is eliminated or
+        #: reported, since no further probe reaches it.
+        self.cell = cell
 
     # ------------------------------------------------------------------ #
     # structural helpers
@@ -211,15 +392,19 @@ class CellTreeNode:
             node = node.parent
         return total + 1
 
-    def negative_record_ids(self) -> set[int]:
-        """Records contributing negative halfspaces to this node's full set."""
+    def record_ids(self, positive: bool) -> set[int]:
+        """Records whose positive (or negative) halfspace covers this node.
+
+        Edge labels and cover sets of the node and its ancestors; the
+        negative ones are P-CTA's pivots, the positive ones its non-pivots.
+        """
         ids: set[int] = set()
         node: CellTreeNode | None = self
         while node is not None:
-            if node.edge is not None and not node.edge.is_positive:
+            if node.edge is not None and node.edge.is_positive == positive:
                 ids.add(node.edge.record_id)
             for halfspace in node.cover:
-                if not halfspace.is_positive:
+                if halfspace.is_positive == positive:
                     ids.add(halfspace.record_id)
             node = node.parent
         return ids
@@ -233,17 +418,14 @@ class CellTree:
         dimensionality: int,
         k: int,
         counters: LPCounters | None = None,
-        root_constraints: ConstraintStack | None = None,
-        root_witnesses: Sequence[np.ndarray] | None = None,
+        root: Cell | None = None,
         tolerance: Tolerance | float | None = None,
     ) -> None:
         """Create an empty tree over the whole preference space.
 
-        ``root_constraints`` / ``root_witnesses`` restrict the root to a
-        sub-region of the space: the parallel execution layer
-        (:mod:`repro.parallel`) uses them to re-root a worker's tree at one
-        leaf of a partially expanded tree, so the worker continues exactly
-        the computation the single-process run would have performed there.
+        ``root`` re-roots the tree at a copy of that cell instead: the
+        parallel execution layer (:mod:`repro.parallel`) grows a worker's
+        tree from one leaf's cell of a partially expanded tree.
 
         ``tolerance`` is the shared numerical policy used for every LP
         feasibility probe and witness side test of this tree (default:
@@ -258,18 +440,8 @@ class CellTree:
         self.tolerance = resolve_tolerance(tolerance)
         self.counters = counters if counters is not None else LPCounters()
         self.stats = InsertionStats()
-        self.root = CellTreeNode(parent=None, edge=None)
-        self.root.constraints = (
-            root_constraints
-            if root_constraints is not None
-            else ConstraintStack.for_space(dimensionality)
-        )
-        if root_witnesses is None:
-            # The root's witness: centroid of the simplex, always interior.
-            self.root.add_witness(np.full(dimensionality, 1.0 / (dimensionality + 1.0)))
-        else:
-            for witness in root_witnesses:
-                self.root.add_witness(np.asarray(witness, dtype=float))
+        cell = Cell.space(dimensionality) if root is None else copy.copy(root)
+        self.root = CellTreeNode(parent=None, edge=None, cell=cell)
 
     # ------------------------------------------------------------------ #
     # insertion (Algorithm 1 / Algorithm 2 routine)
@@ -312,132 +484,39 @@ class CellTree:
         # Dominance shortcut (Section 5): if a processed dominator of the new
         # record contributes a negative halfspace to this node, the new
         # record's negative halfspace covers the node as well (Lemma 4).
-        if dominator_ids and (dominator_ids & node.negative_record_ids()):
+        if dominator_ids and (dominator_ids & node.record_ids(positive=False)):
             self.stats.dominance_shortcuts += 1
             self._add_to_cover(node, hyperplane.negative(), accumulated - node.local_positive)
             return
 
-        positive = hyperplane.positive()
         negative = hyperplane.negative()
+        positive = hyperplane.positive()
+        cell = node.cell
+        witnesses = cell.witnessed_sides(hyperplane, self.tolerance)
+        self.stats.witness_shortcuts += sum(witness is not None for witness in witnesses)
 
-        # Witness shortcut (Section 4.3.2, generalised to a small cache of
-        # interior points): one vectorised sign evaluation over every cached
-        # witness may settle one or both feasibility questions without an LP.
-        negative_witness: np.ndarray | None = None
-        positive_witness: np.ndarray | None = None
-        if node.witnesses:
-            side_margin = self.tolerance.margin(hyperplane.norm)
-            values = hyperplane.evaluate_many(np.stack(node.witnesses))
-            negative_hits = np.nonzero(values < -side_margin)[0]
-            positive_hits = np.nonzero(values > side_margin)[0]
-            if negative_hits.size:
-                negative_witness = node.witnesses[int(negative_hits[0])]
-                self.stats.witness_shortcuts += 1
-            if positive_hits.size:
-                positive_witness = node.witnesses[int(positive_hits[0])]
-                self.stats.witness_shortcuts += 1
-
-        # Case I: node entirely inside the positive halfspace?
-        negative_rows: ConstraintStack | None = None
-        if negative_witness is None:
-            if self._certified_empty(node, negative):
-                self._add_to_cover(node, positive, accumulated - node.local_positive)
+        # Case I (II): the node lies entirely inside the positive (negative)
+        # halfspace when the other side misses it.
+        sides: list[Side] = []
+        for halfspace, witness, cover in zip((negative, positive), witnesses, (positive, negative)):
+            side = cell.probe(halfspace, witness, self.counters, self.tolerance)
+            if side is None:
+                self._add_to_cover(node, cover, accumulated - node.local_positive)
                 return
-            negative_rows = node.constraints.push(negative)
-            outcome = solve_feasibility(
-                negative_rows.matrix,
-                negative_rows.rhs,
-                self.dimensionality,
-                self.counters,
-                tolerance=self.tolerance,
-                norms=negative_rows.norms,
-            )
-            if outcome.feasible:
-                negative_witness = outcome.witness
-                node.add_witness(outcome.witness)
-            else:
-                self._add_to_cover(node, positive, accumulated - node.local_positive)
-                return
-
-        # Case II: node entirely inside the negative halfspace?
-        positive_rows: ConstraintStack | None = None
-        if positive_witness is None:
-            if self._certified_empty(node, positive):
-                self._add_to_cover(node, negative, accumulated - node.local_positive)
-                return
-            positive_rows = node.constraints.push(positive)
-            outcome = solve_feasibility(
-                positive_rows.matrix,
-                positive_rows.rhs,
-                self.dimensionality,
-                self.counters,
-                tolerance=self.tolerance,
-                norms=positive_rows.norms,
-            )
-            if outcome.feasible:
-                positive_witness = outcome.witness
-                node.add_witness(outcome.witness)
-            else:
-                self._add_to_cover(node, negative, accumulated - node.local_positive)
-                return
+            sides.append(side)
 
         # Case III: the hyperplane cuts through the node.
         if node.is_leaf:
-            # A side probed by an LP already holds the child's rows.
-            self._split(
-                node,
-                negative,
-                positive,
-                negative_witness,
-                positive_witness,
-                negative_rows or node.constraints.push(negative),
-                positive_rows or node.constraints.push(positive),
-            )
+            left, right = cell.split(negative, positive, sides, self.tolerance)
+            node.left = CellTreeNode(parent=node, edge=negative, cell=left)
+            node.right = CellTreeNode(parent=node, edge=positive, cell=right)
+            self.stats.nodes_created += 2
+            self.stats.leaves_split += 1
             return
         self._insert(node.left, hyperplane, dominator_ids, accumulated)
         self._insert(node.right, hyperplane, dominator_ids, accumulated)
         if self._children_inactive(node):
             self._eliminate(node)
-
-    def _certified_empty(self, node: CellTreeNode, halfspace: Halfspace) -> bool:
-        """Whether the node's vertices prove that open ``halfspace`` misses the node.
-
-        True only when the feasibility LP of this probe would answer
-        "infeasible" (module docstring); counted in the active registry's
-        ``query.lp.vertex_certificates``.  Always False above
-        :data:`VERTEX_CERTIFICATE_MAX_DIMENSION`.
-        """
-        if self.dimensionality > VERTEX_CERTIFICATE_MAX_DIMENSION:
-            return False
-        if node.vertices is None:
-            node.vertices = self._enumerate_vertices(node)
-            node.apex_free = _without_apex(node.constraints, node.vertices)
-        hyperplane = halfspace.hyperplane
-        vertices = node.apex_free if hyperplane.offset == 0.0 else node.vertices
-        if not len(vertices):
-            return False
-        values = hyperplane.evaluate_many(vertices)
-        if halfspace.is_positive:
-            values = -values
-        band = self.tolerance.margin(hyperplane.norm) + LP_PRIMAL_FEASIBILITY_TOL
-        if not np.all(values > band):
-            return False
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(LP_VERTEX_CERTIFICATES).inc()
-        return True
-
-    def _enumerate_vertices(self, node: CellTreeNode) -> np.ndarray:
-        """Vertices of the node's closed cell; empty when they cannot be found."""
-        try:
-            return polytope_vertices(
-                node.constraints.matrix, node.constraints.rhs, node.witness, self.tolerance
-            )
-        except GeometryError:
-            registry = active_registry()
-            if registry is not None:
-                registry.counter(LP_VERTEX_FALLBACKS).inc()
-            return np.empty((0, self.dimensionality))
 
     # ------------------------------------------------------------------ #
     # node-level operations
@@ -456,47 +535,11 @@ class CellTree:
             if accumulated + node.local_positive + 1 > self.k:
                 self._eliminate(node)
 
-    def _split(
-        self,
-        leaf: CellTreeNode,
-        negative: Halfspace,
-        positive: Halfspace,
-        negative_witness: np.ndarray | None,
-        positive_witness: np.ndarray | None,
-        negative_rows: ConstraintStack,
-        positive_rows: ConstraintStack,
-    ) -> None:
-        """Split a leaf into two children labelled with the two halfspaces.
-
-        ``negative_rows`` / ``positive_rows`` are the leaf's constraint stack
-        pushed with each halfspace: the children's stacks.
-        """
-        left = CellTreeNode(parent=leaf, edge=negative)
-        right = CellTreeNode(parent=leaf, edge=positive)
-        left.constraints = negative_rows
-        right.constraints = positive_rows
-        left.add_witness(negative_witness)
-        right.add_witness(positive_witness)
-        if leaf.witnesses:
-            # One vectorised sign evaluation distributes every cached witness
-            # to the child whose (open) halfspace contains it.
-            side_margin = self.tolerance.margin(negative.hyperplane.norm)
-            values = negative.hyperplane.evaluate_many(np.stack(leaf.witnesses))
-            for witness, value in zip(leaf.witnesses, values):
-                if value < -side_margin:
-                    left.add_witness(witness)
-                elif value > side_margin:
-                    right.add_witness(witness)
-        leaf.left = left
-        leaf.right = right
-        self.stats.nodes_created += 2
-        self.stats.leaves_split += 1
-
     def _eliminate(self, node: CellTreeNode) -> None:
         if node.eliminated:
             return
         node.eliminated = True
-        node.constraints = node.vertices = node.apex_free = None  # no further probes reach this node
+        node.cell = None  # no further probes reach this node
         self.stats.nodes_eliminated += 1
 
     def eliminate(self, node: CellTreeNode) -> None:
@@ -506,7 +549,7 @@ class CellTree:
     def report(self, node: CellTreeNode) -> None:
         """Mark a leaf as reported (removed from further processing)."""
         node.reported = True
-        node.constraints = node.vertices = node.apex_free = None  # no further probes reach this node
+        node.cell = None  # no further probes reach this node
 
     # ------------------------------------------------------------------ #
     # traversal
@@ -535,16 +578,6 @@ class CellTree:
             if node.right is not None:
                 stack.append(node.right)
 
-    def view(self, node: CellTreeNode) -> CellView:
-        """Build a :class:`CellView` snapshot for ``node``."""
-        return CellView(
-            node=node,
-            bounding_halfspaces=tuple(node.path_halfspaces()),
-            covering_halfspaces=tuple(node.cover_halfspaces()),
-            rank=node.rank(),
-            witness=node.witness,
-        )
-
     def memory_bytes(self) -> int:
         """Rough size of the tree in bytes (space-consumption experiments)."""
         per_node = 120  # object overhead + slots
@@ -554,13 +587,8 @@ class CellTree:
         while stack:
             node = stack.pop()
             total += per_node + per_halfspace_ref * (1 + len(node.cover))
-            total += sum(witness.nbytes for witness in node.witnesses)
-            if node.constraints is not None:
-                total += node.constraints.memory_bytes()
-            if node.vertices is not None:
-                total += node.vertices.nbytes
-            if node.apex_free is not None and node.apex_free is not node.vertices:
-                total += node.apex_free.nbytes
+            if node.cell is not None:
+                total += node.cell.memory_bytes()
             if node.left is not None:
                 stack.append(node.left)
             if node.right is not None:
@@ -568,7 +596,7 @@ class CellTree:
         return total
 
 
-def _without_apex(constraints: ConstraintStack, vertices: np.ndarray) -> np.ndarray:
+def _without_apex(cell: Cell, vertices: np.ndarray) -> np.ndarray:
     """``vertices`` without the origin when the cell is a cone cut by one row.
 
     When every constraint row but one passes through the origin and that one
@@ -580,8 +608,9 @@ def _without_apex(constraints: ConstraintStack, vertices: np.ndarray) -> np.ndar
     vertices, so the certificate tests only them.  Any other cell keeps all
     its vertices.
     """
-    cut = np.flatnonzero(constraints.rhs)
-    if cut.size != 1 or constraints.rhs[cut[0]] <= 0.0:
+    rhs = cell.constraints.rhs
+    cut = np.flatnonzero(rhs)
+    if cut.size != 1 or rhs[cut[0]] <= 0.0:
         return vertices
     row = int(cut[0])
-    return vertices[vertices @ constraints.matrix[row] > constraints.rhs[row] / 2.0]
+    return vertices[vertices @ cell.constraints.matrix[row] > rhs[row] / 2.0]

@@ -40,7 +40,7 @@ from ..index.skyline import skyline
 from ..obs.trace import current_tracer
 from .base import QueryContext, ReportedCell, StreamTick, capture_frontier, report_leaves
 from .bounds import RankBounds
-from .cell import CellView
+from .celltree import Cell, CellTreeNode
 
 __all__ = [
     "BoundEvaluator",
@@ -52,7 +52,7 @@ __all__ = [
 class BoundEvaluator(Protocol):
     """Anything that can bracket the rank of the focal record within a cell."""
 
-    def evaluate(self, cell: CellView, k: int) -> RankBounds:  # pragma: no cover - protocol
+    def evaluate(self, cell: Cell, k: int) -> RankBounds:  # pragma: no cover - protocol
         """Return ``[lower, upper]`` rank bounds for the focal record in ``cell``."""
         ...
 
@@ -173,37 +173,35 @@ def progressive_ticks(
             return
 
         # --- collect promising leaves, eliminating stale ones --------------
-        promising: list[CellView] = []
+        promising: list[tuple[CellTreeNode, int]] = []
         for leaf in list(tree.iter_active_leaves()):
             rank = leaf.rank()
             if rank > k:
                 tree.eliminate(leaf)
             else:
-                promising.append(tree.view(leaf))
+                promising.append((leaf, rank))
 
         # --- look-ahead rank bounds (LP-CTA only) --------------------------
         # Following Section 6.4, bounds are computed once per leaf, right after
         # the batch that created it; surviving leaves are not re-evaluated.
         if bound_evaluator is not None and promising:
             phase_start = time.perf_counter()
-            undecided: list[CellView] = []
-            for view in promising:
-                if view.node.bounds_checked:
-                    undecided.append(view)
+            undecided: list[tuple[CellTreeNode, int]] = []
+            for leaf, rank in promising:
+                if leaf.bounds_checked:
+                    undecided.append((leaf, rank))
                     continue
-                view.node.bounds_checked = True
-                bounds = bound_evaluator.evaluate(view, k)
+                leaf.bounds_checked = True
+                bounds = bound_evaluator.evaluate(leaf.cell, k)
                 if bounds.lower > k:
-                    tree.eliminate(view.node)
+                    tree.eliminate(leaf)
                     context.stats.cells_pruned_by_bounds += 1
                 elif bounds.upper <= k:
-                    emitted.append(
-                        ReportedCell(view.bounding_halfspaces, bounds.upper, view.witness)
-                    )
-                    tree.report(view.node)
+                    emitted.append(ReportedCell.of(leaf, bounds.upper))
+                    tree.report(leaf)
                     context.stats.cells_reported_early += 1
                 else:
-                    undecided.append(view)
+                    undecided.append((leaf, rank))
             promising = undecided
             bounds_seconds += time.perf_counter() - phase_start
 
@@ -212,28 +210,28 @@ def progressive_ticks(
             return
         if len(processed) >= total_competitors:
             # Every competitor has been processed: surviving leaf ranks are exact.
-            for view in promising:
-                emitted.append(ReportedCell(view.bounding_halfspaces, view.rank, view.witness))
-                tree.report(view.node)
+            for leaf, rank in promising:
+                emitted.append(ReportedCell.of(leaf, rank))
+                tree.report(leaf)
             yield finish(emitted)
             return
 
         # --- Lemma-5 reporting and the non-pivot union ---------------------
         phase_start = time.perf_counter()
         non_pivot_union: set[int] = set()
-        for view in promising:
-            pivot_ids = view.pivot_ids
+        for leaf, rank in promising:
+            pivot_ids = leaf.record_ids(positive=False)
             pivot_values = (
                 np.vstack([context.record_values(record_id) for record_id in pivot_ids])
                 if pivot_ids
                 else np.empty((0, context.data_dimensionality))
             )
             if not exists_unprocessed_not_dominated(context.tree, pivot_values, processed):
-                emitted.append(ReportedCell(view.bounding_halfspaces, view.rank, view.witness))
-                tree.report(view.node)
+                emitted.append(ReportedCell.of(leaf, rank))
+                tree.report(leaf)
                 context.stats.cells_reported_early += 1
             else:
-                non_pivot_union |= view.non_pivot_ids
+                non_pivot_union |= leaf.record_ids(positive=True)
         lookahead_seconds += time.perf_counter() - phase_start
 
         if tree.is_exhausted:

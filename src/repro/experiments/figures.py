@@ -324,7 +324,7 @@ def figure16_feasibility(quick: bool = True) -> FigureResult:
         for leaf in leaves:
             try:
                 intersect_halfspaces(
-                    leaf.path_halfspaces(), transformed_dim, interior_point=leaf.witness
+                    leaf.path_halfspaces(), transformed_dim, interior_point=leaf.cell.witness
                 )
             except GeometryError:
                 continue

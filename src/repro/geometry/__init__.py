@@ -20,7 +20,6 @@ from .linprog import (
     FeasibilityResult,
     LPCounters,
     cell_feasible,
-    chebyshev_center,
     maximize_linear,
     minimize_linear,
     preference_space_constraints,
@@ -40,7 +39,6 @@ __all__ = [
     "FeasibilityResult",
     "LPCounters",
     "cell_feasible",
-    "chebyshev_center",
     "maximize_linear",
     "minimize_linear",
     "preference_space_constraints",

@@ -116,7 +116,6 @@ __all__ = [
     "solve_feasibility",
     "minimize_linear",
     "maximize_linear",
-    "chebyshev_center",
 ]
 
 #: Upper bound on the slack variable (keeps the LP bounded).
@@ -376,9 +375,12 @@ def _assemble(
     halfspaces: Sequence[Halfspace],
     dimensionality: int,
     include_space_bounds: bool,
-    extra_constraints: Sequence[tuple[np.ndarray, float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack all constraints into ``(A, b)`` matrices."""
+    """Stack a cell's halfspaces, then the space boundary if asked, into ``(A, b)``.
+
+    The one assembly of a cell that has left the CellTree: finalisation and
+    :func:`cell_feasible`.
+    """
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     for coefficients, bound in halfspaces_to_constraints(halfspaces):
@@ -388,10 +390,6 @@ def _assemble(
         for coefficients, bound in preference_space_constraints(dimensionality):
             rows.append(coefficients)
             rhs.append(bound)
-    if extra_constraints:
-        for coefficients, bound in extra_constraints:
-            rows.append(np.asarray(coefficients, dtype=float))
-            rhs.append(float(bound))
     if not rows:
         return np.zeros((0, dimensionality)), np.zeros(0)
     return np.vstack(rows), np.asarray(rhs, dtype=float)
@@ -400,15 +398,15 @@ def _assemble(
 class ConstraintStack:
     """An immutable ``A . w <= b`` constraint system grown one row at a time.
 
-    The CellTree keeps one stack per node: a child's stack is its parent's
-    plus the single halfspace labelling the connecting edge.  Each ``push``
-    copies the parent rows into one preallocated matrix (storage is per
-    node, not shared), so the whole root path is assembled exactly once per
-    node instead of being rebuilt from a Python list of halfspaces on every
-    feasibility probe of that node.  Each row's Euclidean norm is kept
-    beside it, computed once when the row is pushed with the reduction the
-    feasibility LP would run, ``np.linalg.norm(rows, axis=1)``, so the bits
-    match.
+    Every CellTree cell (:class:`repro.core.celltree.Cell`) keeps its rows in
+    one stack: a child's stack is its parent's plus the single halfspace
+    labelling the connecting edge.  Each ``push`` copies the parent rows into
+    one preallocated matrix (storage is per node, not shared), so the whole
+    root path is assembled exactly once per node instead of being rebuilt
+    from a Python list of halfspaces on every feasibility probe of that
+    node.  Each row's Euclidean norm is kept beside it, computed once when
+    the row is pushed with the reduction the feasibility LP would run,
+    ``np.linalg.norm(rows, axis=1)``, so the bits match.
     """
 
     __slots__ = ("matrix", "rhs", "norms")
@@ -430,15 +428,6 @@ class ConstraintStack:
             np.asarray([bound for _, bound in constraints], dtype=float),
         )
 
-    @classmethod
-    def assemble(cls, halfspaces: Sequence[Halfspace], dimensionality: int) -> "ConstraintStack":
-        """The closed cell of ``halfspaces`` in one system.
-
-        Its rows are in the order every optimisation LP over the cell uses:
-        the halfspaces, then the preference-space boundary.
-        """
-        return cls(*_assemble(halfspaces, dimensionality, include_space_bounds=True))
-
     @property
     def rows(self) -> int:
         """Number of constraint rows currently on the stack."""
@@ -458,11 +447,6 @@ class ConstraintStack:
         norms[:rows] = self.norms
         norms[rows:] = np.linalg.norm(matrix[rows:], axis=1)
         return ConstraintStack(matrix, rhs, norms)
-
-    def probe(self, halfspace: Halfspace) -> tuple[np.ndarray, np.ndarray]:
-        """One-off ``(A, b)`` with ``halfspace`` appended: the arrays :meth:`push` stores."""
-        grown = self.push(halfspace)
-        return grown.matrix, grown.rhs
 
     def memory_bytes(self) -> int:
         """Size of the stored rows and their norms in bytes (space-consumption accounting)."""
@@ -498,7 +482,7 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Interior-feasibility LP over a pre-assembled ``A . w <= b`` system.
 
-    This is the hot-path entry used by the CellTree (via
+    This is the hot-path entry used by the CellTree (via its cells'
     :class:`ConstraintStack`, which passes its kept row ``norms``; without
     them they are computed here); :func:`cell_feasible` is the
     halfspace-list convenience wrapper around it.  The feasibility decision
@@ -566,15 +550,11 @@ def _optimize(
     halfspaces: "Sequence[Halfspace] | ConstraintStack",
     dimensionality: int,
     counters: LPCounters | None,
-    include_space_bounds: bool,
-    extra_constraints: Sequence[tuple[np.ndarray, float]] | None,
 ) -> OptimizeResult:
     if isinstance(halfspaces, ConstraintStack):
         matrix, bounds = halfspaces.matrix, halfspaces.rhs
     else:
-        matrix, bounds = _assemble(
-            halfspaces, dimensionality, include_space_bounds, extra_constraints
-        )
+        matrix, bounds = _assemble(halfspaces, dimensionality, include_space_bounds=True)
     if counters is not None:
         counters.record("optimize", matrix.shape[0])
     registry = active_registry()
@@ -599,24 +579,15 @@ def minimize_linear(
     halfspaces: "Sequence[Halfspace] | ConstraintStack",
     dimensionality: int,
     counters: LPCounters | None = None,
-    include_space_bounds: bool = True,
-    extra_constraints: Sequence[tuple[np.ndarray, float]] | None = None,
 ) -> OptimizeResult:
     """Minimise ``objective . w`` over the closure of the cell.
 
-    The cell is its halfspaces, or its whole system already assembled by
-    :meth:`ConstraintStack.assemble` (the same rows in the same order; the
-    last two options then do not apply), which lets every LP of one bound
-    evaluation share one assembly.
+    The cell is its halfspaces, assembled with the space boundary after
+    them, or a :class:`ConstraintStack` already holding those rows in that
+    order (a CellTree cell's :meth:`~repro.core.celltree.Cell.edges_first`),
+    which lets every LP of one bound evaluation share one system.
     """
-    return _optimize(
-        np.asarray(objective, dtype=float),
-        halfspaces,
-        dimensionality,
-        counters,
-        include_space_bounds,
-        extra_constraints,
-    )
+    return _optimize(np.asarray(objective, dtype=float), halfspaces, dimensionality, counters)
 
 
 def maximize_linear(
@@ -624,38 +595,7 @@ def maximize_linear(
     halfspaces: "Sequence[Halfspace] | ConstraintStack",
     dimensionality: int,
     counters: LPCounters | None = None,
-    include_space_bounds: bool = True,
-    extra_constraints: Sequence[tuple[np.ndarray, float]] | None = None,
 ) -> OptimizeResult:
     """Maximise ``objective . w`` over the closure of the cell (see :func:`minimize_linear`)."""
-    outcome = _optimize(
-        -np.asarray(objective, dtype=float),
-        halfspaces,
-        dimensionality,
-        counters,
-        include_space_bounds,
-        extra_constraints,
-    )
+    outcome = _optimize(-np.asarray(objective, dtype=float), halfspaces, dimensionality, counters)
     return OptimizeResult(-outcome.value, outcome.point)
-
-
-def chebyshev_center(
-    halfspaces: Sequence[Halfspace],
-    dimensionality: int,
-    counters: LPCounters | None = None,
-    include_space_bounds: bool = True,
-    tolerance: Tolerance | float | None = None,
-) -> FeasibilityResult:
-    """Deepest interior point of a cell (maximum-margin point).
-
-    This is exactly the feasibility LP — exposed under its geometric name for
-    use by the exact-geometry finaliser, which needs a strictly interior point
-    to seed Qhull's halfspace intersection.
-    """
-    return cell_feasible(
-        halfspaces,
-        dimensionality,
-        counters=counters,
-        include_space_bounds=include_space_bounds,
-        tolerance=tolerance,
-    )

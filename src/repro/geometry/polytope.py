@@ -28,12 +28,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from ..exceptions import GeometryError
 from ..robust import Tolerance, resolve_tolerance
 from .halfspace import Halfspace
-from .linprog import (
-    LPCounters,
-    cell_feasible,
-    halfspaces_to_constraints,
-    preference_space_constraints,
-)
+from .linprog import LPCounters, _assemble, cell_feasible
 
 __all__ = ["RegionGeometry", "intersect_halfspaces", "polytope_vertices", "simplex_volume"]
 
@@ -69,19 +64,6 @@ def simplex_volume(dimensionality: int) -> float:
     if dimensionality < 1:
         raise GeometryError("dimensionality must be at least 1")
     return 1.0 / math.factorial(dimensionality)
-
-
-def _constraint_rows(
-    halfspaces: Sequence[Halfspace],
-    dimensionality: int,
-    include_space_bounds: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = halfspaces_to_constraints(halfspaces)
-    if include_space_bounds:
-        rows.extend(preference_space_constraints(dimensionality))
-    matrix = np.vstack([np.asarray(a, dtype=float) for a, _ in rows])
-    bounds = np.asarray([b for _, b in rows], dtype=float)
-    return matrix, bounds
 
 
 def polytope_vertices(
@@ -154,7 +136,7 @@ def intersect_halfspaces(
     GeometryError
         If the cell is empty (no interior point exists) or degenerate.
     """
-    matrix, bounds = _constraint_rows(halfspaces, dimensionality, include_space_bounds)
+    matrix, bounds = _assemble(halfspaces, dimensionality, include_space_bounds)
 
     if dimensionality == 1:
         vertices = polytope_vertices(matrix, bounds, tolerance=tolerance)

@@ -9,8 +9,8 @@ Two complementary sharding granularities are used by :mod:`repro.parallel`:
   workers with the classic longest-processing-time heuristic.
 * **per-subtree shards** — a single query's CellTree expansion is partitioned
   by re-rooting workers at the active leaves of a partially expanded tree
-  (:class:`SubtreeShard` carries everything a worker needs to continue the
-  computation of one subtree exactly as the single-process run would).
+  (:class:`SubtreeShard` carries everything a worker needs to grow one
+  subtree: the leaf's cell and rank offset).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ..core.celltree import Cell
 from ..geometry.halfspace import Halfspace
 
 __all__ = ["SubtreeShard", "plan_focal_shards", "resolve_workers"]
@@ -44,12 +43,14 @@ class SubtreeShard:
         merging shard outputs in ``index`` order reproduces the exact cell
         order of the single-process run.
     prefix:
-        Edge-label halfspaces on the path from the root to the leaf.  They
-        both re-root the worker's constraint stack and prefix every reported
-        cell's bounding halfspaces.
-    witnesses:
-        The leaf's cached interior points, replayed into the worker's root so
-        witness shortcuts fire identically to the single-process run.
+        Edge-label halfspaces on the path from the root to the leaf; they
+        prefix every reported cell's bounding halfspaces.
+    cell:
+        The leaf's :class:`~repro.core.celltree.Cell` — its rows, cached
+        witnesses and any vertices already enumerated — from which the
+        worker grows its tree (``CellTree(root=cell)``), so its rows,
+        witness shortcuts and vertex certificates are the ones the leaf
+        would have had in the single-process run.
     rank_offset:
         Positive halfspaces accumulated on the root path (``rank() - 1``).
         The worker operates with ``k_local = k - rank_offset`` and reports
@@ -58,7 +59,7 @@ class SubtreeShard:
 
     index: int
     prefix: tuple[Halfspace, ...]
-    witnesses: tuple[np.ndarray, ...]
+    cell: Cell
     rank_offset: int
 
 

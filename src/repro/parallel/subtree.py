@@ -8,18 +8,29 @@ sharding boundary for a *single* query:
 1. a short **seed phase** inserts hyperplanes serially until the tree has at
    least ``workers * shard_factor`` active leaves;
 2. every active leaf becomes a :class:`~repro.parallel.shards.SubtreeShard`
-   and is shipped to a worker process, which re-roots a fresh CellTree at
-   the leaf (same constraint stack, same witnesses, same rank offset) and
-   inserts the remaining hyperplanes;
+   and is shipped to a worker process, which grows a fresh CellTree from the
+   leaf's cell (same rows, witnesses and vertices) with the leaf's rank
+   offset and inserts the remaining hyperplanes;
 3. the per-shard answers are merged back in the seed tree's depth-first
    order, so the reported cells — bounding halfspaces, ranks and witnesses —
    are **identical** to what the single-process run produces.
 
-The equivalence argument: a worker performs exactly the LP probes, witness
-tests, splits and eliminations the serial run performs inside that subtree,
-in the same order, on the same constraint rows; and a depth-first traversal
-of the full tree is the concatenation of the seed tree's depth-first leaf
-order with each leaf's subtree traversal.
+The equivalence argument: what the serial run splits, eliminates, caches
+and reports inside a subtree depends only on the subtree root's cell and
+rank and on the hyperplanes inserted after it, which is what a worker is
+given; and a depth-first traversal of the full tree is the concatenation of
+the seed tree's depth-first leaf order with each leaf's subtree traversal.
+
+A worker does not solve the serial run's LPs one for one, though.  It
+starts probing at its seed leaf, while the serial tree probes that leaf's
+ancestors first, and stops at an ancestor that a hyperplane covers.  So the
+sharded run's feasibility LPs, vertex certificates and
+``query.lp.constraints`` histogram differ from the serial run's (at
+``workers=2, shard_factor=2`` the sharded run solves 2 to 13 fewer
+feasibility LPs on 10 of the 26 tier-1 grid cases) while its regions, ranks
+and witnesses do not.
+``tests/test_parallel.py::TestShardedMetrics`` therefore checks a sharded
+run's counters against that sharded run itself.
 
 Execution is a *stream*: :func:`parallel_ticks` commits finished shards
 strictly in the seed tree's depth-first order (an out-of-order shard result
@@ -52,7 +63,7 @@ from ..core.celltree import CellTree
 from ..core.cta import open_cta
 from ..core.result import FrontierCell, KSPRResult
 from ..geometry.halfspace import Hyperplane
-from ..geometry.linprog import ConstraintStack, LPCounters
+from ..geometry.linprog import LPCounters
 from ..obs.metrics import LP_CONSTRAINTS, Counter, MetricsRegistry, active_registry, use_registry
 from ..obs.trace import current_tracer
 from ..records import Dataset
@@ -71,8 +82,9 @@ def _expand_shard_group(
 ) -> list[tuple]:
     """Worker entry point: expand a group of subtree shards to completion.
 
-    Returns, per shard, its index, the reported cells (local bounding
-    halfspaces, absolute rank, witness), the LP counter totals, the number
+    Each shard's tree grows from the shard's cell.  Returns, per shard, its
+    index, the reported cells (local bounding halfspaces, absolute rank,
+    witness), the LP counter totals, the number
     of CellTree nodes created, the shard's wall-clock seconds, and — when
     the calling process has an active registry — the shard's registry: its LP
     constraint-count bucket counts (fixed bounds, so the driver-side merge
@@ -85,17 +97,9 @@ def _expand_shard_group(
         shard_start = time.perf_counter()
         counters = LPCounters()
         registry = MetricsRegistry() if collect_metrics else None
-        constraints = ConstraintStack.for_space(dimensionality)
-        for halfspace in shard.prefix:
-            constraints = constraints.push(halfspace)
         k_local = k - shard.rank_offset
         tree = CellTree(
-            dimensionality,
-            k_local,
-            counters=counters,
-            root_constraints=constraints,
-            root_witnesses=shard.witnesses,
-            tolerance=tolerance,
+            dimensionality, k_local, counters=counters, root=shard.cell, tolerance=tolerance
         )
         with use_registry(registry) if registry is not None else nullcontext():
             for hyperplane in hyperplanes:
@@ -210,7 +214,7 @@ def parallel_ticks(
             SubtreeShard(
                 index=index,
                 prefix=tuple(leaf.path_halfspaces()),
-                witnesses=tuple(leaf.witnesses),
+                cell=leaf.cell,
                 rank_offset=rank_offset,
             )
         )
@@ -296,11 +300,7 @@ def parallel_ticks(
             FrontierCell(
                 halfspaces=shard_by_index[shard_index].prefix,
                 rank=shard_by_index[shard_index].rank_offset + 1,
-                witness=(
-                    shard_by_index[shard_index].witnesses[0]
-                    if shard_by_index[shard_index].witnesses
-                    else None
-                ),
+                witness=shard_by_index[shard_index].cell.witness,
             )
             for shard_index in shard_order[committed:]
         )

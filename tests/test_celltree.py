@@ -15,6 +15,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import QhullError
 
 import repro.core.celltree as celltree_module
@@ -22,11 +24,13 @@ import repro.geometry.polytope as polytope_module
 import test_differential_kspr as grid
 import test_robustness_fuzz as fuzz
 from repro import Dataset, cta, lpcta, pcta
+from repro.core.base import Pull, build_region
 from repro.core.original_space import olp_cta, op_cta
+from repro.core.pcta import open_pcta
 from repro.data import independent_dataset
 from repro.geometry.halfspace import Hyperplane, build_hyperplane
 from repro.geometry.linprog import ConstraintStack, LPCounters, solve_feasibility
-from repro.core.celltree import CellTree, CellTreeNode
+from repro.core.celltree import Cell, CellTree
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.names import LP_VERTEX_CERTIFICATES, LP_VERTEX_FALLBACKS
 from repro.parallel.compare import assert_results_identical
@@ -119,9 +123,9 @@ class TestPathAndCover:
             assert 1 <= len(path) <= 2
             assert all(halfspace.record_id in (0, 1) for halfspace in path)
             # The witness (when cached) must satisfy every path halfspace.
-            if leaf.witness is not None:
+            if leaf.cell.witness is not None:
                 for halfspace in path:
-                    assert halfspace.contains(leaf.witness)
+                    assert halfspace.contains(leaf.cell.witness)
 
     def test_cover_sets_recorded_for_non_cutting_hyperplanes(self):
         tree = CellTree(2, k=10)
@@ -140,18 +144,19 @@ class TestPathAndCover:
         tree.insert(_axis_hyperplane(0, 2, 0.5, record_id=7))
         left = tree.root.left
         assert left is not None and not left.edge.is_positive
-        assert left.negative_record_ids() == {7}
+        assert left.record_ids(positive=False) == {7}
 
-    def test_view_exposes_rank_and_pivots(self):
+    def test_record_ids_and_rank_give_pivots_and_non_pivots(self):
         tree = CellTree(2, k=10)
         tree.insert(_axis_hyperplane(0, 2, 0.5, record_id=7))
-        view = tree.view(tree.root.left)
-        assert view.rank == 1
-        assert view.pivot_ids == {7}
-        assert view.non_pivot_ids == set()
-        positive_view = tree.view(tree.root.right)
-        assert positive_view.rank == 2
-        assert positive_view.non_pivot_ids == {7}
+        tree.insert(_axis_hyperplane(1, 2, 5.0, record_id=8))  # covers both leaves, negative
+        left, right = tree.root.left, tree.root.right
+        assert left.rank() == 1
+        assert left.record_ids(positive=False) == {7, 8}
+        assert left.record_ids(positive=True) == set()
+        assert right.rank() == 2
+        assert right.record_ids(positive=False) == {8}
+        assert right.record_ids(positive=True) == {7}
 
 
 class TestDominanceShortcut:
@@ -170,11 +175,11 @@ class TestDominanceShortcut:
 
 class TestNodeHelpers:
     def test_add_witness_caps_cache(self):
-        node = CellTreeNode(None, None)
-        for index in range(node.MAX_WITNESSES + 5):
-            node.add_witness(np.array([float(index)]))
-        assert len(node.witnesses) == node.MAX_WITNESSES
-        assert node.witness is not None
+        cell = Cell(ConstraintStack.for_space(1), np.empty((0, 1)))
+        for index in range(cell.MAX_WITNESSES + 5):
+            cell.add_witness(np.array([float(index)]))
+        assert cell.witnesses.tolist() == [[float(index)] for index in range(cell.MAX_WITNESSES)]
+        assert cell.witness.tolist() == [0.0]
 
     def test_memory_estimate_positive(self):
         tree = CellTree(2, k=5)
@@ -184,7 +189,7 @@ class TestNodeHelpers:
     def test_memory_estimate_counts_vertices_and_every_witness(self):
         tree = CellTree(2, k=5)
         tree.insert(_axis_hyperplane(0, 2, 0.4))
-        root = tree.root
+        root = tree.root.cell
         # The root's positive side needed an LP, so its triangle was enumerated.
         assert root.vertices is not None and root.vertices.shape == (3, 2)
         with_vertices = tree.memory_bytes()
@@ -195,6 +200,162 @@ class TestNodeHelpers:
         root.add_witness(extra)
         assert len(root.witnesses) > 2
         assert tree.memory_bytes() - before == extra.nbytes
+
+    def test_eliminated_and_reported_nodes_free_their_cell(self):
+        tree = CellTree(2, k=5)
+        tree.insert(_axis_hyperplane(0, 2, 0.4))
+        left, right = tree.root.left, tree.root.right
+        tree.eliminate(left)
+        tree.report(right)
+        assert left.cell is None and right.cell is None
+        assert tree.root.cell is not None
+
+
+# --------------------------------------------------------------------------- #
+# the cell's witness array against a list model of the per-point cache
+# --------------------------------------------------------------------------- #
+class _WitnessList:
+    """The witness cache as a list of points: what the array must hold, row for row."""
+
+    def __init__(self) -> None:
+        self.witness: np.ndarray | None = None
+        self.witnesses: list[np.ndarray] = []
+
+    def add(self, point: np.ndarray) -> None:
+        if self.witness is None:
+            self.witness = point
+        if len(self.witnesses) < Cell.MAX_WITNESSES:
+            self.witnesses.append(point)
+
+    def values(self, hyperplane: Hyperplane) -> np.ndarray:
+        return hyperplane.evaluate_many(np.stack(self.witnesses))
+
+    def witnessed_sides(self, hyperplane: Hyperplane, tolerance):
+        if not self.witnesses:
+            return None, None
+        margin = tolerance.margin(hyperplane.norm)
+        values = self.values(hyperplane)
+        negative = np.nonzero(values < -margin)[0]
+        positive = np.nonzero(values > margin)[0]
+        return (
+            self.witnesses[int(negative[0])] if negative.size else None,
+            self.witnesses[int(positive[0])] if positive.size else None,
+        )
+
+    def split(self, hyperplane: Hyperplane, negative_point, positive_point, tolerance):
+        left, right = _WitnessList(), _WitnessList()
+        left.add(negative_point)
+        right.add(positive_point)
+        if self.witnesses:
+            margin = tolerance.margin(hyperplane.norm)
+            for witness, value in zip(self.witnesses, self.values(hyperplane)):
+                if value < -margin:
+                    left.add(witness)
+                elif value > margin:
+                    right.add(witness)
+        return left, right
+
+
+def _same_point(point, expected) -> bool:
+    if point is None or expected is None:
+        return point is None and expected is None
+    return point.tobytes() == expected.tobytes()
+
+
+def _assert_matches(cell: Cell, model: _WitnessList, dimensionality: int) -> None:
+    assert cell.witnesses.shape == (len(model.witnesses), dimensionality)
+    for row, expected in zip(cell.witnesses, model.witnesses):
+        assert row.tobytes() == expected.tobytes()
+    assert _same_point(cell.witness, model.witness)
+
+
+_COORDINATE = st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0, -0.5, 1e-12])
+
+
+@st.composite
+def _witness_programs(draw):
+    """A dimensionality, starting points, and a sequence of adds and splits."""
+    dimensionality = draw(st.integers(min_value=1, max_value=3))
+    point = st.lists(_COORDINATE, min_size=dimensionality, max_size=dimensionality).map(np.array)
+    coefficient = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0e-7])
+    split = st.tuples(
+        st.just("split"),
+        st.lists(coefficient, min_size=dimensionality, max_size=dimensionality).map(np.array),
+        _COORDINATE,
+        st.one_of(st.none(), point),  # a fresh LP witness for the negative side, else a cached one
+        st.one_of(st.none(), point),
+        st.booleans(),  # follow the right child
+    )
+    steps = st.one_of(st.tuples(st.just("add"), point), split)
+    return (
+        dimensionality,
+        draw(st.lists(point, max_size=2 * Cell.MAX_WITNESSES)),
+        draw(st.lists(steps, max_size=14)),
+    )
+
+
+class TestWitnessArray:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_witness_programs())
+    def test_array_matches_the_list_model(self, program):
+        """Same rows, order, duplicates, cap and first witness after any adds and splits."""
+        dimensionality, start, steps = program
+        tolerance = resolve_tolerance(None)
+        cell = Cell(ConstraintStack.for_space(dimensionality), np.empty((0, dimensionality)))
+        model = _WitnessList()
+        for point in start:
+            cell.add_witness(point)
+            model.add(point)
+        _assert_matches(cell, model, dimensionality)
+        fallback = np.full(dimensionality, 0.5)
+        for step in steps:
+            if step[0] == "add":
+                cell.add_witness(step[1])
+                model.add(step[1])
+                _assert_matches(cell, model, dimensionality)
+                continue
+            _, coefficients, offset, *fresh, follow_right = step
+            hyperplane = Hyperplane(coefficients, offset)
+            cached = cell.witnessed_sides(hyperplane, tolerance)
+            expected = model.witnessed_sides(hyperplane, tolerance)
+            assert all(_same_point(*pair) for pair in zip(cached, expected))
+            points = []
+            for point, hit in zip(fresh, cached):
+                if point is None and hit is not None:
+                    points.append(hit)  # the witness shortcut's point
+                    continue
+                point = fallback if point is None else point
+                cell.add_witness(point)  # a feasible LP caches its witness first
+                model.add(point)
+                points.append(point)
+            left, right = cell.split(
+                hyperplane.negative(), hyperplane.positive(), [(p, None) for p in points], tolerance
+            )
+            left_model, right_model = model.split(hyperplane, *points, tolerance)
+            _assert_matches(left, left_model, dimensionality)
+            _assert_matches(right, right_model, dimensionality)
+            cell, model = (right, right_model) if follow_right else (left, left_model)
+
+    def test_reported_witnesses_alias_no_live_cell(self):
+        """Regions and frontier cells of a paused query hold none of the live tree's arrays."""
+        dataset = independent_dataset(200, 3, seed=7)
+        focal = dataset.values[dataset.values.sum(axis=1).argmax()] * 0.97
+        opened = open_pcta(dataset, focal, 5, pull=Pull(capture=True))
+        checked = 0
+        for tick in opened.ticks:
+            if tick.done:
+                break
+            nodes, arrays = [tick.tree.root], []
+            for node in nodes:
+                nodes.extend(child for child in (node.left, node.right) if child is not None)
+                if node.cell is not None:
+                    arrays.append(node.cell.witnesses)
+            witnesses = [build_region(opened.context, cell).witness for cell in tick.new_cells]
+            witnesses += [cell.witness for cell in tick.frontier]
+            for witness in witnesses:
+                assert not any(np.shares_memory(witness, array) for array in arrays)
+                checked += 1
+        assert checked > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -260,20 +421,21 @@ def _check_certificates_with_lp(monkeypatch) -> tuple[list, list]:
     """Make every certified probe also solve its LP; returns (certified, disagreements)."""
     certified: list = []
     disagreements: list = []
-    certified_empty = CellTree._certified_empty
+    certified_empty = Cell._certified_empty
 
-    def checked(tree, node, halfspace):
-        verdict = certified_empty(tree, node, halfspace)
+    def checked(cell, halfspace, tolerance):
+        verdict = certified_empty(cell, halfspace, tolerance)
         if verdict:
+            rows = cell.constraints.push(halfspace)
             outcome = solve_feasibility(
-                *node.constraints.probe(halfspace), tree.dimensionality, tolerance=tree.tolerance
+                rows.matrix, rows.rhs, rows.matrix.shape[1], tolerance=tolerance
             )
             certified.append(halfspace)
             if outcome.feasible:
                 disagreements.append((halfspace.record_id, halfspace.sign, outcome.margin))
         return verdict
 
-    monkeypatch.setattr(CellTree, "_certified_empty", checked)
+    monkeypatch.setattr(Cell, "_certified_empty", checked)
     return certified, disagreements
 
 
@@ -334,9 +496,9 @@ class TestVertexCertificate:
     def test_node_without_witness_keeps_the_lp(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            tree = CellTree(2, k=10, root_witnesses=[])
+            tree = CellTree(2, k=10, root=Cell(ConstraintStack.for_space(2), np.empty((0, 2))))
             tree.insert(_axis_hyperplane(0, 2, 2.0, record_id=1))
-        assert tree.root.vertices.shape == (0, 2)
+        assert tree.root.cell.vertices.shape == (0, 2)
         assert _certificates(registry) == 0
         assert tree.counters.feasibility_calls == 2
         assert registry.counter(LP_VERTEX_FALLBACKS).value == 1
@@ -352,7 +514,7 @@ class TestVertexCertificate:
                 tree.insert(_axis_hyperplane(0, dimensionality, 0.05, record_id=2))
             assert _certificates(registry) == expected, dimensionality
             if dimensionality == above:
-                assert tree.root.vertices is None and tree.root.left.vertices is None
+                assert tree.root.cell.vertices is None and tree.root.left.cell.vertices is None
 
     def test_apex_is_skipped_only_for_cones_cut_by_one_row(self):
         # Original space, d = 2: the cone w_0 > w_1 cut by the simplex.  The
@@ -367,22 +529,24 @@ class TestVertexCertificate:
         assert tree.counters.feasibility_calls == calls + 2
         # Only a cone cut by one row loses its apex; a second cut keeps all.
         cone = ConstraintStack.for_space(2).push(Hyperplane(np.array([1.0, -1.0]), 0.0).positive())
-        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
-        assert celltree_module._without_apex(cone, vertices).tolist() == [[1.0, 0.0], [0.5, 0.5]]
         cut_twice = cone.push(Hyperplane(np.array([1.0, 0.0]), 0.75).negative())
-        assert celltree_module._without_apex(cut_twice, vertices) is vertices
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+        no_witness = np.empty((0, 2))
+        apex_free = celltree_module._without_apex(Cell(cone, no_witness), vertices)
+        assert apex_free.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+        assert celltree_module._without_apex(Cell(cut_twice, no_witness), vertices) is vertices
 
     def test_apex_free_vertices_are_computed_once_per_node(self, monkeypatch):
         """OP-CTA probes every node with hyperplanes through the origin; the
         apex-free vertex set is built with the vertices, not per probe."""
         calls: dict[int, int] = {}
-        stacks: list = []  # keeps every stack alive, so ids stay unique
+        cells: list = []  # keeps every cell alive, so ids stay unique
         without_apex = celltree_module._without_apex
 
-        def counting(constraints, vertices):
-            stacks.append(constraints)
-            calls[id(constraints)] = calls.get(id(constraints), 0) + 1
-            return without_apex(constraints, vertices)
+        def counting(cell, vertices):
+            cells.append(cell)
+            calls[id(cell)] = calls.get(id(cell), 0) + 1
+            return without_apex(cell, vertices)
 
         monkeypatch.setattr(celltree_module, "_without_apex", counting)
         dataset = independent_dataset(150, 3, seed=7)

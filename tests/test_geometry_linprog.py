@@ -21,7 +21,6 @@ from repro.geometry.halfspace import Halfspace, Hyperplane
 from repro.geometry.linprog import (
     LPCounters,
     cell_feasible,
-    chebyshev_center,
     maximize_linear,
     minimize_linear,
     preference_space_constraints,
@@ -53,6 +52,7 @@ class TestCellFeasible:
         assert outcome.witness is not None
         assert np.all(outcome.witness > 0)
         assert outcome.witness.sum() < 1
+        assert outcome.margin > 0.1
 
     def test_empty_intersection_detected(self):
         above = _axis_halfspace(0, 2, 0.7, "+")
@@ -118,13 +118,6 @@ class TestOptimize:
         minimize_linear(np.array([1.0, 1.0]), [], 2, counters=counters)
         assert counters.optimize_calls == 1
         assert counters.feasibility_calls == 0
-
-
-class TestChebyshevCenter:
-    def test_center_of_simplex_has_positive_margin(self):
-        outcome = chebyshev_center([], 2)
-        assert outcome.feasible
-        assert outcome.margin > 0.1
 
 
 # --------------------------------------------------------------------------- #

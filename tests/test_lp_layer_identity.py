@@ -4,10 +4,11 @@
   ``repro.geometry.linprog``, keeps or demotes exactly the answers scipy's
   ``_check_result`` does, and the success message it returns is scipy's.
 * A :class:`~repro.geometry.linprog.ConstraintStack` keeps each row's norm
-  bit for bit as ``np.linalg.norm(matrix, axis=1)`` computes it, and a
-  probe builds the arrays a ``vstack``/``append`` built.
-* The bound evaluators assemble a cell once per evaluation, and every bound
-  LP over that system answers as the per-LP assembly does, value and point
+  bit for bit as ``np.linalg.norm(matrix, axis=1)`` computes it, a probe's
+  push builds the arrays a ``vstack``/``append`` built, and a CellTree
+  cell's rows rotated edges first are the per-LP assembly's, norms included.
+* The bound evaluators assemble nothing: every bound LP solves over the
+  cell's own rows and answers as the per-LP assembly does, value and point
   bytes alike.
 """
 
@@ -26,6 +27,7 @@ import repro.geometry.linprog as linprog_module
 import test_differential_kspr as grid
 import test_geometry_linprog as corpus_module
 from repro import kspr
+from repro.core.celltree import Cell, CellTree
 from repro.data import independent_dataset
 from repro.geometry.halfspace import Halfspace, Hyperplane
 from repro.geometry.linprog import ConstraintStack
@@ -146,13 +148,21 @@ def test_stack_norms_and_probes_are_bit_identical(case):
     for halfspace in pushes:
         stack = stack.push(halfspace)
         assert stack.norms.tobytes() == np.linalg.norm(stack.matrix, axis=1).tobytes()
-    matrix, rhs = stack.probe(probed)
+    grown = stack.push(probed)
+    matrix, rhs = grown.matrix, grown.rhs
     coefficients, bound = probed.as_leq_constraint()
     old_matrix = np.vstack([stack.matrix, coefficients[None, :]])
     old_rhs = np.append(stack.rhs, bound)
     assert (matrix.shape, matrix.dtype, rhs.shape, rhs.dtype) == (old_matrix.shape, old_matrix.dtype, old_rhs.shape, old_rhs.dtype)
     assert matrix.tobytes() == old_matrix.tobytes()
     assert rhs.tobytes() == old_rhs.tobytes()
+    if space:
+        # The bound evaluators' system: the cell's rows with the edges first.
+        rotated = Cell(stack, np.empty((0, dimensionality))).edges_first()
+        assembled, assembled_rhs = linprog_module._assemble(pushes, dimensionality, True)
+        assert rotated.matrix.tobytes() == assembled.tobytes()
+        assert rotated.rhs.tobytes() == assembled_rhs.tobytes()
+        assert rotated.norms.tobytes() == np.linalg.norm(assembled, axis=1).tobytes()
 
 
 def test_stack_memory_counts_the_kept_norms():
@@ -161,7 +171,7 @@ def test_stack_memory_counts_the_kept_norms():
 
 
 # --------------------------------------------------------------------------- #
-# one assembly per bound evaluation
+# no assembly per bound evaluation
 # --------------------------------------------------------------------------- #
 EVALUATORS = (bounds_module.TransformedBoundEvaluator, bounds_module.OriginalSpaceBoundEvaluator)
 
@@ -171,12 +181,21 @@ def _record_bound_lps(monkeypatch) -> tuple[list, list]:
     lps: list = []
     assemblies: list = []
     current: list = []
+    leaves: dict[int, tuple] = {}
     assemble = linprog_module._assemble
+    iter_active_leaves = CellTree.iter_active_leaves
 
     def counting_assemble(*args, **kwargs):
         if current:
             assemblies[-1] += 1
         return assemble(*args, **kwargs)
+
+    def listing(tree):
+        # The driver lists the active leaves right before it evaluates their
+        # cells; the map leads each evaluated cell back to its root path.
+        for leaf in iter_active_leaves(tree):
+            leaves[id(leaf.cell)] = (leaf.cell, leaf)
+            yield leaf
 
     def recording(solve):
         def wrapper(objective, system, dimensionality, counters=None):
@@ -188,7 +207,9 @@ def _record_bound_lps(monkeypatch) -> tuple[list, list]:
 
     for evaluator in EVALUATORS:
         def evaluate(self, cell, k, _original=evaluator.evaluate):
-            current.append(cell.bounding_halfspaces)
+            listed, leaf = leaves[id(cell)]
+            assert listed is cell
+            current.append(tuple(leaf.path_halfspaces()))
             assemblies.append(0)
             try:
                 return _original(self, cell, k)
@@ -196,6 +217,7 @@ def _record_bound_lps(monkeypatch) -> tuple[list, list]:
                 current.pop()
 
         monkeypatch.setattr(evaluator, "evaluate", evaluate)
+    monkeypatch.setattr(CellTree, "iter_active_leaves", listing)
     monkeypatch.setattr(linprog_module, "_assemble", counting_assemble)
     monkeypatch.setattr(bounds_module, "minimize_linear", recording(linprog_module.minimize_linear))
     monkeypatch.setattr(bounds_module, "maximize_linear", recording(linprog_module.maximize_linear))
@@ -206,7 +228,7 @@ def _check_bound_lps(monkeypatch, dataset, focal, k, method) -> tuple[int, int]:
     """Run one query; returns (evaluations, bound LPs) after checking both identities."""
     lps, assemblies = _record_bound_lps(monkeypatch)
     result = kspr(dataset, focal, k, method=method)
-    assert all(count == 1 for count in assemblies), assemblies
+    assert all(count == 0 for count in assemblies), assemblies
     assert len(lps) == result.stats.lp.optimize_calls
     for solve, objective, system, halfspaces, dimensionality, outcome in lps:
         assert isinstance(system, ConstraintStack)
@@ -218,15 +240,15 @@ def _check_bound_lps(monkeypatch, dataset, focal, k, method) -> tuple[int, int]:
 
 @pytest.mark.parametrize("method", ["lpcta", "olp-cta"])
 @pytest.mark.parametrize("case", grid._cases(), ids=lambda value: str(value))
-def test_bound_lps_over_the_assembled_cell_match_per_lp_assembly(monkeypatch, method, case):
+def test_bound_lps_over_the_cells_rows_match_per_lp_assembly(monkeypatch, method, case):
     n, d, k, distribution, seed = case
     dataset, focal, _ = grid._build_case(n, d, k, distribution, seed)
     _check_bound_lps(monkeypatch, dataset, focal, k, method)
 
 
 @pytest.mark.parametrize("method", ["lpcta", "olp-cta"])
-def test_one_assembly_serves_many_bound_lps(monkeypatch, method):
-    """On a skyline focal every evaluation solves many LPs over one assembly."""
+def test_the_cells_rows_serve_many_bound_lps(monkeypatch, method):
+    """On a skyline focal every evaluation solves many LPs over the cell's rows."""
     dataset = independent_dataset(150, 3, seed=7)
     focal = dataset.values[dataset.values.sum(axis=1).argmax()]
     evaluations, lps = _check_bound_lps(monkeypatch, dataset, focal, 2, method)

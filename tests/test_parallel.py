@@ -14,7 +14,7 @@ import repro.geometry.polytope as polytope_module
 import repro.parallel.subtree as subtree_module
 import test_differential_kspr as grid
 from repro import Dataset, Engine, kspr
-from repro.core.celltree import CellTree
+from repro.core.celltree import Cell
 from repro.core.cta import cta
 from repro.data import anticorrelated_dataset, independent_dataset
 from repro.engine import QueryBatch, QuerySpec
@@ -305,12 +305,12 @@ class TestShardedMetrics:
         certificates: list = []
         failures: list = []
         rows: list = []
-        certified_empty = CellTree._certified_empty
+        certified_empty = Cell._certified_empty
         enumerate_vertices = celltree_module.polytope_vertices
         solve = linprog_module.linprog
 
-        def counting_certificate(tree, node, halfspace):
-            verdict = certified_empty(tree, node, halfspace)
+        def counting_certificate(cell, halfspace, tolerance):
+            verdict = certified_empty(cell, halfspace, tolerance)
             if verdict:
                 certificates.append(1)
             return verdict
@@ -326,7 +326,7 @@ class TestShardedMetrics:
             rows.append(0 if A_ub is None else len(A_ub))
             return solve(c, A_ub=A_ub, b_ub=b_ub, **kwargs)
 
-        monkeypatch.setattr(CellTree, "_certified_empty", counting_certificate)
+        monkeypatch.setattr(Cell, "_certified_empty", counting_certificate)
         monkeypatch.setattr(celltree_module, "polytope_vertices", counting_enumeration)
         monkeypatch.setattr(linprog_module, "linprog", counting_solve)
         monkeypatch.setattr(subtree_module, "ProcessPoolExecutor", ThreadPoolExecutor)

@@ -82,13 +82,12 @@ class TestRankBounds:
 
         rng = np.random.default_rng(7)
         for leaf in celltree.iter_active_leaves():
-            view = celltree.view(leaf)
-            bounds = evaluator.evaluate(view, k=1000)
+            bounds = evaluator.evaluate(leaf.cell, k=1000)
             assert bounds.lower <= bounds.upper
             # Sample points inside the cell and check the competitor-only rank.
             for weights in random_weight_vectors(3, 40, rng):
                 transformed = original_to_transformed(weights)
-                if all(h.contains(transformed) for h in view.bounding_halfspaces):
+                if all(h.contains(transformed) for h in leaf.path_halfspaces()):
                     rank = rank_under_weights(partition.competitors, focal, weights)
                     assert bounds.lower <= rank <= bounds.upper
 
@@ -127,7 +126,7 @@ class TestOriginalSpaceBounds:
         for record in list(partition.competitors)[:3]:
             celltree.insert(Hyperplane(record.values - focal, 0.0, record.record_id))
         for leaf in celltree.iter_active_leaves():
-            evaluator.evaluate(celltree.view(leaf), k=1000)
+            evaluator.evaluate(leaf.cell, k=1000)
 
         corner_calls = [(kind, key) for kind, key in calls if key not in records]
         assert any(kind == "min" for kind, _ in corner_calls)
