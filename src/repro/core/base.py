@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from ..exceptions import InvalidQueryError
 from ..geometry.halfspace import (
     Halfspace,
     Hyperplane,
-    build_hyperplane,
     build_hyperplanes,
     original_space_hyperplanes,
 )
@@ -218,49 +218,49 @@ class QueryContext:
             tolerance=self.tolerance,
         )
 
+    @cached_property
+    def _row_by_id(self) -> dict[int, int]:
+        """Competitor id → row of ``competitors`` (built once per query)."""
+        return {record_id: row for row, record_id in enumerate(self.competitors.ids.tolist())}
+
+    def rows_of(self, record_ids: Iterable[int]) -> np.ndarray:
+        """Rows of ``competitors`` holding ``record_ids``, in the order given.
+
+        They are also the records' positions in ``tree``, which indexes
+        ``competitors``.
+        """
+        row_by_id = self._row_by_id
+        return np.fromiter((row_by_id[record_id] for record_id in record_ids), dtype=np.intp)
+
     def hyperplane_for(self, record_id: int) -> Hyperplane:
         """The (cached) hyperplane ``S(record) = S(focal)`` for a competitor."""
         hyperplane = self._hyperplanes.get(record_id)
         if hyperplane is None:
-            values = self.competitors.record_by_id(record_id).values
-            if self.space == TRANSFORMED_SPACE:
-                hyperplane = build_hyperplane(values, self.focal, record_id=record_id)
-            else:
-                hyperplane = Hyperplane(values - self.focal, 0.0, record_id=record_id)
-            self._hyperplanes[record_id] = hyperplane
+            self.prime_hyperplanes([record_id])
+            hyperplane = self._hyperplanes[record_id]
         return hyperplane
 
     def prime_hyperplanes(self, record_ids: Sequence[int] | None = None) -> None:
         """Batch-build (and cache) the hyperplanes of many competitors at once.
 
-        One vectorised pass over the competitor matrix replaces per-record
-        ``record_by_id`` scans and coefficient arithmetic — the dominant
-        setup cost of large queries.  ``record_ids`` defaults to every
-        competitor; ids whose hyperplane is already cached are skipped, so
-        priming composes with the shared per-focal cache of
-        :class:`PreparedQuery`.
+        One vectorised pass over the competitors' rows builds every missing
+        hyperplane.  ``record_ids`` defaults to every competitor; ids whose
+        hyperplane is already cached are skipped, so priming composes with
+        the shared per-focal cache of :class:`PreparedQuery`.
         """
         cache = self._hyperplanes
-        all_ids = self.competitors.ids
         if record_ids is None:
-            wanted = [int(record_id) for record_id in all_ids if int(record_id) not in cache]
-        else:
-            wanted = [int(record_id) for record_id in record_ids if int(record_id) not in cache]
+            record_ids = self.competitors.ids.tolist()
+        wanted = [int(record_id) for record_id in record_ids if int(record_id) not in cache]
         if not wanted:
             return
-        row_by_id = {int(record_id): row for row, record_id in enumerate(all_ids)}
-        rows = np.asarray([row_by_id[record_id] for record_id in wanted], dtype=int)
-        values = self.competitors.values[rows]
+        values = self.competitors.values[self.rows_of(wanted)]
         if self.space == TRANSFORMED_SPACE:
             built = build_hyperplanes(values, self.focal, wanted)
         else:
             built = original_space_hyperplanes(values, self.focal, wanted)
         for record_id, hyperplane in zip(wanted, built):
             cache[record_id] = hyperplane
-
-    def record_values(self, record_id: int) -> np.ndarray:
-        """Attribute vector of a competitor record."""
-        return self.competitors.record_by_id(record_id).values
 
 
 def prepare_context(

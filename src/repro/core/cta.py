@@ -73,9 +73,7 @@ def cta_ticks(
     processed = 0
     exhausted = False
     total = context.competitors.cardinality
-    # Lazy iteration: records past an early tree exhaustion are never
-    # materialised, matching the all-at-once driver.
-    records = iter(context.competitors)
+    record_ids = iter(context.competitors.ids.tolist())
     # Vectorised hyperplane construction is part of the insertion cost, as
     # in the all-at-once driver — phase timings stay comparable.
     phase_start = time.perf_counter()
@@ -83,10 +81,10 @@ def cta_ticks(
     insertion_seconds = time.perf_counter() - phase_start
     while processed < total and not exhausted:
         phase_start = time.perf_counter()
-        for record in itertools.islice(records, chunk):
+        for record_id in itertools.islice(record_ids, chunk):
             context.stats.processed_records += 1
             processed += 1
-            tree.insert(context.hyperplane_for(record.record_id))
+            tree.insert(context.hyperplane_for(record_id))
             if tree.is_exhausted:
                 exhausted = True
                 break

@@ -4,9 +4,9 @@ P-CTA improves on CTA by
 
 * processing records in *skyline batches* so that a record is only processed
   after every record dominating it (Invariant 1),
-* short-circuiting hyperplane insertion through the dominance graph
-  (a dominated record's negative halfspace covers any node already covered by
-  its dominator's negative halfspace),
+* short-circuiting hyperplane insertion through each record's processed
+  dominators (a dominated record's negative halfspace covers any node already
+  covered by its dominator's negative halfspace),
 * reporting cells *progressively*: a promising cell whose pivots dominate all
   unprocessed records can never change again (Lemma 5) and is emitted before
   the algorithm terminates.

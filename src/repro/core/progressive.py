@@ -5,7 +5,7 @@ never processed before all of its dominators (Invariant 1):
 
 1. the first batch is the skyline of the competitor set;
 2. each batch's hyperplanes are inserted into the CellTree (with the
-   dominance-graph shortcut of Section 5);
+   dominance shortcut of Section 5);
 3. promising leaves (rank <= k) are examined: a leaf whose pivots dominate
    every unprocessed record can be reported immediately (Lemma 5); leaves that
    cannot be reported contribute their non-pivot records to a union ``NP``;
@@ -16,6 +16,14 @@ never processed before all of its dominators (Invariant 1):
 
 The loop ends when the CellTree has no active leaves left or every competitor
 has been processed (at which point surviving leaves have exact ranks).
+
+Both dominance questions run on the column-wise kernel
+:func:`repro.index.dominance.order_masks`, over the competitors' rows: one
+call per batch gives every batch record its processed dominators (the set
+``Dr`` of the insertion shortcut), and one call per reached R-tree leaf tests
+its unprocessed records against a cell's pivots (Lemma 5).  Competitors are
+found by row through :meth:`~repro.core.base.QueryContext.rows_of`, and the
+processed records are one boolean mask over those rows.
 
 The loop is implemented as a *generator*, :func:`progressive_ticks`, yielding
 one :class:`~repro.core.base.StreamTick` per batch with the cells certified by
@@ -34,7 +42,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from ..index.dominance import DominanceGraph
+from ..index.dominance import order_masks
 from ..index.rtree import AggregateRTree, RTreeNode
 from ..index.skyline import skyline
 from ..obs.trace import current_tracer
@@ -60,40 +68,36 @@ class BoundEvaluator(Protocol):
 def exists_unprocessed_not_dominated(
     tree: AggregateRTree,
     pivot_values: np.ndarray,
-    processed_ids: set[int],
+    processed: np.ndarray,
 ) -> bool:
     """Is there an unprocessed record that no pivot dominates?
 
     This is the reporting test of Algorithm 2 (line 16): if the answer is
     *no*, Lemma 5 guarantees no unprocessed record can change the cell's rank
-    or extent and the cell may be reported immediately.  The aggregate R-tree
-    is used to discard whole subtrees whose MBR is dominated by a pivot.
+    or extent and the cell may be reported immediately.  ``pivot_values`` is
+    ``(p, d)``; ``processed`` flags the processed rows of ``tree.dataset``.
+    The aggregate R-tree is used to discard whole subtrees whose MBR is
+    dominated by a pivot, and a reached leaf's unprocessed records are tested
+    against every pivot at once.
     """
-    dataset = tree.dataset
-    if len(processed_ids) >= dataset.cardinality:
+    if processed.all():
         return False
-    has_pivots = pivot_values.size > 0
 
-    def subtree_dominated(corner: np.ndarray) -> bool:
-        if not has_pivots:
-            return False
-        geq = np.all(pivot_values >= corner, axis=1)
-        gt = np.any(pivot_values > corner, axis=1)
-        return bool(np.any(geq & gt))
+    def dominated(points: np.ndarray) -> np.ndarray:
+        """Does some pivot dominate each point (one ``(d,)`` point or ``(b, d)``)?"""
+        at_most, at_least = order_masks(pivot_values, points)
+        return np.any(at_least & ~at_most, axis=-1)
 
+    values = tree.dataset.values
     stack: list[RTreeNode] = [tree.root]
     while stack:
         node = tree.visit(stack.pop())
-        if subtree_dominated(node.mbr.high):
+        if dominated(node.mbr.high):
             continue
         if node.is_leaf:
-            for position in node.record_positions:
-                record_id = int(dataset.ids[int(position)])
-                if record_id in processed_ids:
-                    continue
-                values = dataset.values[int(position)]
-                if not subtree_dominated(values):
-                    return True
+            positions = node.record_positions
+            if not dominated(values[positions[~processed[positions]]]).all():
+                return True
             continue
         stack.extend(node.children)
     return False
@@ -125,9 +129,10 @@ def progressive_ticks(
     k = context.effective_k
     tracer = current_tracer()
     tree = context.new_celltree()
-    graph = DominanceGraph(context.competitors)
-    processed: set[int] = set()
+    values, ids = context.competitors.values, context.competitors.ids
     total_competitors = context.competitors.cardinality
+    processed = np.zeros(total_competitors, dtype=bool)
+    processed_count = 0
 
     insertion_seconds = 0.0
     bounds_seconds = 0.0
@@ -148,7 +153,7 @@ def progressive_ticks(
             new_cells=new_cells,
             done=True,
             batches=context.stats.batches,
-            processed=len(processed),
+            processed=processed_count,
             tree=tree,
         )
 
@@ -160,12 +165,18 @@ def progressive_ticks(
         # --- insert the batch (Invariant 1 holds by construction) ---------
         phase_start = time.perf_counter()
         context.prime_hyperplanes(batch)
-        for record_id in batch:
-            dominators = graph.dominators_of(record_id)
+        batch_rows = context.rows_of(batch)
+        # BBS accepts a record only when no record it accepted earlier
+        # dominates it, so a batch record's processed dominators all come
+        # from earlier batches: one (batch, processed) mask gives every set.
+        earlier = np.flatnonzero(processed)
+        at_most, at_least = order_masks(values[earlier], values[batch_rows])
+        earlier_ids = ids[earlier]
+        for record_id, dominating in zip(batch, at_least & ~at_most):
             context.stats.processed_records += 1
-            tree.insert(context.hyperplane_for(record_id), dominators)
-            graph.add(record_id)
-            processed.add(record_id)
+            tree.insert(context.hyperplane_for(record_id), set(earlier_ids[dominating].tolist()))
+        processed[batch_rows] = True
+        processed_count += len(batch)
         insertion_seconds += time.perf_counter() - phase_start
 
         if tree.is_exhausted:
@@ -208,7 +219,7 @@ def progressive_ticks(
         if not promising:
             yield finish(emitted)
             return
-        if len(processed) >= total_competitors:
+        if processed_count >= total_competitors:
             # Every competitor has been processed: surviving leaf ranks are exact.
             for leaf, rank in promising:
                 emitted.append(ReportedCell.of(leaf, rank))
@@ -220,12 +231,7 @@ def progressive_ticks(
         phase_start = time.perf_counter()
         non_pivot_union: set[int] = set()
         for leaf, rank in promising:
-            pivot_ids = leaf.record_ids(positive=False)
-            pivot_values = (
-                np.vstack([context.record_values(record_id) for record_id in pivot_ids])
-                if pivot_ids
-                else np.empty((0, context.data_dimensionality))
-            )
+            pivot_values = values[context.rows_of(leaf.record_ids(positive=False))]
             if not exists_unprocessed_not_dominated(context.tree, pivot_values, processed):
                 emitted.append(ReportedCell.of(leaf, rank))
                 tree.report(leaf)
@@ -244,25 +250,26 @@ def progressive_ticks(
             tracer.event(
                 "progressive.batch",
                 batch=context.stats.batches,
-                processed=len(processed),
+                processed=processed_count,
                 certified=len(emitted),
                 nodes=tree.node_count(),
             )
 
         # --- choose the next batch (Section 5) -----------------------------
         next_skyline = skyline(context.tree, exclude_ids=non_pivot_union)
-        batch = [record_id for record_id in next_skyline if record_id not in processed]
+        fresh = ~processed[context.rows_of(next_skyline)]
+        batch = [record_id for record_id, keep in zip(next_skyline, fresh) if keep]
         if not batch:
             # Fall back to the skyline of the unprocessed records: Invariant 1
             # still holds and progress is guaranteed.
-            batch = skyline(context.tree, exclude_ids=processed)
+            batch = skyline(context.tree, exclude_ids=ids[processed].tolist())
 
         yield StreamTick(
             new_cells=emitted,
             frontier=capture_frontier(tree, k) if capture else (),
             done=False,
             batches=context.stats.batches,
-            processed=len(processed),
+            processed=processed_count,
             tree=tree,
         )
 

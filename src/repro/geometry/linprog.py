@@ -371,12 +371,8 @@ def halfspaces_to_constraints(
     return [halfspace.as_leq_constraint() for halfspace in halfspaces]
 
 
-def _assemble(
-    halfspaces: Sequence[Halfspace],
-    dimensionality: int,
-    include_space_bounds: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a cell's halfspaces, then the space boundary if asked, into ``(A, b)``.
+def _assemble(halfspaces: Sequence[Halfspace], dimensionality: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack a cell's halfspaces, then the space boundary, into ``(A, b)``.
 
     The one assembly of a cell that has left the CellTree: finalisation and
     :func:`cell_feasible`.
@@ -386,12 +382,9 @@ def _assemble(
     for coefficients, bound in halfspaces_to_constraints(halfspaces):
         rows.append(np.asarray(coefficients, dtype=float))
         rhs.append(float(bound))
-    if include_space_bounds:
-        for coefficients, bound in preference_space_constraints(dimensionality):
-            rows.append(coefficients)
-            rhs.append(bound)
-    if not rows:
-        return np.zeros((0, dimensionality)), np.zeros(0)
+    for coefficients, bound in preference_space_constraints(dimensionality):
+        rows.append(coefficients)
+        rhs.append(bound)
     return np.vstack(rows), np.asarray(rhs, dtype=float)
 
 
@@ -418,10 +411,8 @@ class ConstraintStack:
         self.norms = np.linalg.norm(matrix, axis=1) if norms is None else norms
 
     @classmethod
-    def for_space(cls, dimensionality: int, include_space_bounds: bool = True) -> "ConstraintStack":
+    def for_space(cls, dimensionality: int) -> "ConstraintStack":
         """The root stack: only the preference-space boundary constraints."""
-        if not include_space_bounds:
-            return cls(np.zeros((0, dimensionality)), np.zeros(0))
         constraints = preference_space_constraints(dimensionality)
         return cls(
             np.vstack([coefficients for coefficients, _ in constraints]),
@@ -531,7 +522,6 @@ def cell_feasible(
     halfspaces: Sequence[Halfspace],
     dimensionality: int,
     counters: LPCounters | None = None,
-    include_space_bounds: bool = True,
     tolerance: Tolerance | float | None = None,
 ) -> FeasibilityResult:
     """Test whether the open intersection of ``halfspaces`` is non-empty.
@@ -541,7 +531,7 @@ def cell_feasible(
     non-empty interior iff the optimal ``t`` exceeds ``tolerance``.  The
     optimiser's weight vector is returned as a witness interior point.
     """
-    matrix, bounds = _assemble(halfspaces, dimensionality, include_space_bounds)
+    matrix, bounds = _assemble(halfspaces, dimensionality)
     return solve_feasibility(matrix, bounds, dimensionality, counters, tolerance)
 
 
@@ -554,7 +544,7 @@ def _optimize(
     if isinstance(halfspaces, ConstraintStack):
         matrix, bounds = halfspaces.matrix, halfspaces.rhs
     else:
-        matrix, bounds = _assemble(halfspaces, dimensionality, include_space_bounds=True)
+        matrix, bounds = _assemble(halfspaces, dimensionality)
     if counters is not None:
         counters.record("optimize", matrix.shape[0])
     registry = active_registry()

@@ -112,7 +112,6 @@ def intersect_halfspaces(
     halfspaces: Sequence[Halfspace],
     dimensionality: int,
     interior_point: np.ndarray | None = None,
-    include_space_bounds: bool = True,
     counters: LPCounters | None = None,
     tolerance: Tolerance | float | None = None,
 ) -> RegionGeometry:
@@ -128,15 +127,13 @@ def intersect_halfspaces(
     interior_point:
         A strictly interior point.  When omitted, the feasibility LP is used
         to obtain one (one extra solver call).
-    include_space_bounds:
-        Whether to clip the cell against the preference-space boundary.
 
     Raises
     ------
     GeometryError
         If the cell is empty (no interior point exists) or degenerate.
     """
-    matrix, bounds = _assemble(halfspaces, dimensionality, include_space_bounds)
+    matrix, bounds = _assemble(halfspaces, dimensionality)
 
     if dimensionality == 1:
         vertices = polytope_vertices(matrix, bounds, tolerance=tolerance)
@@ -145,13 +142,7 @@ def intersect_halfspaces(
         return RegionGeometry(vertices=vertices, volume=float(upper - lower), interior_point=midpoint)
 
     if interior_point is None:
-        feasibility = cell_feasible(
-            halfspaces,
-            dimensionality,
-            counters=counters,
-            include_space_bounds=include_space_bounds,
-            tolerance=tolerance,
-        )
+        feasibility = cell_feasible(halfspaces, dimensionality, counters=counters, tolerance=tolerance)
         if not feasibility.feasible:
             raise GeometryError("cannot compute geometry of an empty cell")
         interior_point = feasibility.witness

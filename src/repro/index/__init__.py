@@ -9,12 +9,12 @@ This subpackage provides:
   per-subtree record counts and node-access (simulated I/O) counters.
 * :mod:`repro.index.skyline` — branch-and-bound skyline (BBS-style), skyline
   recomputation with excluded records, and the k-skyband.
-* :mod:`repro.index.dominance` — dominance tests, the column-wise
-  dominance kernel every dominance scan runs on, and the dominance graph
-  maintained by P-CTA.
+* :mod:`repro.index.dominance` — dominance tests and the column-wise
+  dominance kernel every dominance scan runs on, P-CTA's dominator sets and
+  Lemma-5 test included.
 """
 
-from .dominance import DominanceGraph, dominates, dominating_mask
+from .dominance import dominates
 from .mbr import MBR
 from .rtree import AggregateRTree, IOCounter, RTreeNode
 from .skyline import k_skyband, skyline
@@ -26,7 +26,5 @@ __all__ = [
     "IOCounter",
     "skyline",
     "k_skyband",
-    "DominanceGraph",
     "dominates",
-    "dominating_mask",
 ]

@@ -1,12 +1,8 @@
-"""Dominance tests, the column-wise dominance kernel and P-CTA's dominance graph.
+"""Dominance tests and the column-wise dominance kernel.
 
 Dominance ("no worse in every attribute, better in at least one" under the
 larger-is-better convention) drives the processing order of P-CTA: a record is
-processed only after all records that dominate it (Invariant 1).  While
-records are fetched in skyline batches, P-CTA maintains a *dominance graph*
-over the processed records.  The graph answers, for a record about to be
-inserted, "which already-processed records dominate it?"  — the set ``Dr`` of
-Algorithm 2, used by the insertion shortcut of Section 5.
+processed only after all records that dominate it (Invariant 1).
 
 Every dominance scan goes through one kernel, :func:`order_masks`.  It
 compares one attribute column at a time and ANDs the column results, so it
@@ -17,27 +13,19 @@ of the ``np.all`` / ``np.any`` definitions (NaN included).  It patches the
 :class:`~repro.index.skyline.SkybandIndex` counts, builds
 :func:`dominated_counts`, splits :meth:`repro.records.Dataset.partition_by_focal`,
 classifies a whole update batch under the engine's rules 1–4, and tests BBS
-frontiers and the dominance graph.
+frontiers.  The progressive driver of P-CTA and LP-CTA
+(:mod:`repro.core.progressive`) runs it too: once per batch for each record's
+processed dominators (the set ``Dr`` of Algorithm 2's insertion shortcut),
+and once per reached R-tree leaf for the Lemma-5 reporting test.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from ..records import Dataset, dominates
 
-__all__ = ["dominates", "dominating_mask", "order_masks", "dominated_counts", "DominanceGraph"]
-
-
-def dominating_mask(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows of ``candidates`` that dominate ``target``."""
-    candidates = np.asarray(candidates, dtype=float)
-    if candidates.size == 0:
-        return np.zeros(0, dtype=bool)
-    at_most, at_least = order_masks(candidates, target)
-    return at_least & ~at_most
+__all__ = ["dominates", "order_masks", "dominated_counts"]
 
 
 def order_masks(rows: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,84 +69,3 @@ def dominated_counts(dataset: Dataset, chunk_size: int = 512) -> np.ndarray:
         at_least &= np.logical_not(at_most, out=at_most)
         counts[start : start + block.shape[0]] = np.count_nonzero(at_least, axis=1)
     return counts
-
-
-class DominanceGraph:
-    """Dominance relationships among the records processed so far.
-
-    Nodes are record identifiers; there is an edge from ``a`` to ``b`` when
-    record ``a`` dominates record ``b``.  The graph is grown incrementally as
-    P-CTA processes new batches and supports the two look-ups the algorithm
-    needs: the *ancestors* (dominators) of a record and the *descendants*
-    (dominated records).
-    """
-
-    def __init__(self, dataset: Dataset) -> None:
-        self._dataset = dataset
-        self._ids: list[int] = []
-        self._values: list[np.ndarray] = []
-        self._dominators: dict[int, set[int]] = {}
-        self._dominated: dict[int, set[int]] = {}
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    def add(self, record_id: int) -> None:
-        """Add one processed record and its edges to/from existing members."""
-        if record_id in self._dominators:
-            return
-        values = self._dataset.record_by_id(record_id).values
-        dominators: set[int] = set()
-        dominated: set[int] = set()
-        if self._ids:
-            at_most, at_least = order_masks(np.vstack(self._values), values)
-            over_mask, under_mask = at_least & ~at_most, at_most & ~at_least
-            for existing_id, dominates_new, dominated_by_new in zip(self._ids, over_mask, under_mask):
-                if dominates_new:
-                    dominators.add(existing_id)
-                    self._dominated[existing_id].add(record_id)
-                if dominated_by_new:
-                    dominated.add(existing_id)
-                    self._dominators[existing_id].add(record_id)
-        self._ids.append(record_id)
-        self._values.append(values)
-        self._dominators[record_id] = dominators
-        self._dominated[record_id] = dominated
-
-    def add_batch(self, record_ids: Iterable[int]) -> None:
-        """Add a whole batch of processed records."""
-        for record_id in record_ids:
-            self.add(record_id)
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def __contains__(self, record_id: int) -> bool:
-        return record_id in self._dominators
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def members(self) -> list[int]:
-        """Identifiers of all records currently in the graph."""
-        return list(self._ids)
-
-    def dominators_of(self, record_id: int) -> set[int]:
-        """Processed records that dominate ``record_id``.
-
-        ``record_id`` itself need not be a member yet (the typical call is for
-        a record about to be inserted); in that case dominance is computed
-        against the current members on the fly.
-        """
-        if record_id in self._dominators:
-            return set(self._dominators[record_id])
-        values = self._dataset.record_by_id(record_id).values
-        if not self._ids:
-            return set()
-        members = np.vstack(self._values)
-        mask = dominating_mask(members, values)
-        return {existing_id for existing_id, hit in zip(self._ids, mask) if hit}
-
-    def dominated_by(self, record_id: int) -> set[int]:
-        """Processed records dominated by ``record_id`` (must be a member)."""
-        return set(self._dominated.get(record_id, set()))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.celltree import Cell
-from ..geometry.halfspace import Halfspace
 
 __all__ = ["SubtreeShard", "plan_focal_shards", "resolve_workers"]
 
@@ -41,10 +40,9 @@ class SubtreeShard:
     index:
         Position of the leaf in the seed tree's depth-first traversal —
         merging shard outputs in ``index`` order reproduces the exact cell
-        order of the single-process run.
-    prefix:
-        Edge-label halfspaces on the path from the root to the leaf; they
-        prefix every reported cell's bounding halfspaces.
+        order of the single-process run.  The driver keeps the leaf's
+        root-path halfspaces under this index and prefixes every reported
+        cell's bounding halfspaces with them; the worker never needs them.
     cell:
         The leaf's :class:`~repro.core.celltree.Cell` — its rows, cached
         witnesses and any vertices already enumerated — from which the
@@ -58,7 +56,6 @@ class SubtreeShard:
     """
 
     index: int
-    prefix: tuple[Halfspace, ...]
     cell: Cell
     rank_offset: int
 

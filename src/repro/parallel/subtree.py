@@ -62,7 +62,7 @@ from ..core.base import (
 from ..core.celltree import CellTree
 from ..core.cta import open_cta
 from ..core.result import FrontierCell, KSPRResult
-from ..geometry.halfspace import Hyperplane
+from ..geometry.halfspace import Halfspace, Hyperplane
 from ..geometry.linprog import LPCounters
 from ..obs.metrics import LP_CONSTRAINTS, Counter, MetricsRegistry, active_registry, use_registry
 from ..obs.trace import current_tracer
@@ -204,20 +204,17 @@ def parallel_ticks(
         return
 
     shards = []
+    # Only the driver labels committed cells, so the root-path prefixes stay
+    # here instead of travelling with the shards.
+    prefixes: dict[int, tuple[Halfspace, ...]] = {}
     for index, leaf in enumerate(tree.iter_active_leaves()):
         rank_offset = leaf.rank() - 1
         if rank_offset + 1 > context.effective_k:
             # Ranks only grow down the tree: nothing under this leaf can
             # ever be reported, so the shard is skipped outright.
             continue
-        shards.append(
-            SubtreeShard(
-                index=index,
-                prefix=tuple(leaf.path_halfspaces()),
-                cell=leaf.cell,
-                rank_offset=rank_offset,
-            )
-        )
+        shards.append(SubtreeShard(index=index, cell=leaf.cell, rank_offset=rank_offset))
+        prefixes[index] = tuple(leaf.path_halfspaces())
     context.stats.processed_records += len(remaining)
     if tracer.enabled:
         tracer.event(
@@ -270,7 +267,7 @@ def parallel_ticks(
         new_cells: list[ReportedCell] = []
         while committed < len(shard_order) and shard_order[committed] in cells_by_index:
             shard_index = shard_order[committed]
-            prefix = shard_by_index[shard_index].prefix
+            prefix = prefixes[shard_index]
             for local_path, rank, witness in cells_by_index[shard_index]:
                 new_cells.append(
                     ReportedCell(halfspaces=prefix + local_path, rank=rank, witness=witness)
@@ -298,7 +295,7 @@ def parallel_ticks(
             return ()
         return tuple(
             FrontierCell(
-                halfspaces=shard_by_index[shard_index].prefix,
+                halfspaces=prefixes[shard_index],
                 rank=shard_by_index[shard_index].rank_offset + 1,
                 witness=shard_by_index[shard_index].cell.witness,
             )

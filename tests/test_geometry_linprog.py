@@ -83,8 +83,6 @@ class TestCellFeasible:
             _axis_halfspace(1, 2, 0.6, "+"),
         ]
         assert not cell_feasible(halfspaces, 2).feasible
-        # ... but it is feasible when the simplex bound is dropped.
-        assert cell_feasible(halfspaces, 2, include_space_bounds=False).feasible
 
     def test_counters_record_calls_and_constraints(self):
         counters = LPCounters()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import anticorrelated_dataset, correlated_dataset, independent_dataset
-from repro.index.dominance import DominanceGraph, dominated_counts, dominating_mask, dominates
+from repro.index.dominance import dominated_counts, dominates
 from repro.index.rtree import AggregateRTree
 from repro.index.skyline import (
     k_skyband,
@@ -21,11 +21,6 @@ from repro.records import Dataset
 
 
 class TestDominanceHelpers:
-    def test_dominating_mask(self):
-        candidates = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 3.0]])
-        mask = dominating_mask(candidates, np.array([1.0, 1.0]))
-        assert mask.tolist() == [False, True, False]
-
     def test_dominated_counts_matches_bruteforce(self):
         dataset = independent_dataset(40, 3, seed=4)
         counts = dominated_counts(dataset)
@@ -100,28 +95,3 @@ class TestKSkyband:
         tree = AggregateRTree(dataset)
         sizes = [len(k_skyband(tree, k)) for k in (1, 3, 6)]
         assert sizes == sorted(sizes)
-
-
-class TestDominanceGraph:
-    def test_add_and_lookup(self):
-        dataset = Dataset([[1.0, 1.0], [2.0, 2.0], [0.5, 3.0]], ids=[10, 20, 30])
-        graph = DominanceGraph(dataset)
-        graph.add_batch([10, 20, 30])
-        assert graph.dominators_of(10) == {20}
-        assert graph.dominated_by(20) == {10}
-        assert graph.dominators_of(30) == set()
-        assert len(graph) == 3
-        assert 10 in graph and 99 not in graph
-
-    def test_dominators_of_unprocessed_record(self):
-        dataset = Dataset([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], ids=[1, 2, 3])
-        graph = DominanceGraph(dataset)
-        graph.add(3)
-        assert graph.dominators_of(1) == {3}
-
-    def test_duplicate_add_is_idempotent(self):
-        dataset = Dataset([[1.0, 1.0], [2.0, 2.0]])
-        graph = DominanceGraph(dataset)
-        graph.add(0)
-        graph.add(0)
-        assert len(graph) == 1

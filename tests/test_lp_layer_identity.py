@@ -144,7 +144,11 @@ def _pushes(draw):
 @given(_pushes())
 def test_stack_norms_and_probes_are_bit_identical(case):
     dimensionality, space, pushes, probed = case
-    stack = ConstraintStack.for_space(dimensionality, include_space_bounds=space)
+    stack = (
+        ConstraintStack.for_space(dimensionality)
+        if space
+        else ConstraintStack(np.zeros((0, dimensionality)), np.zeros(0))
+    )
     for halfspace in pushes:
         stack = stack.push(halfspace)
         assert stack.norms.tobytes() == np.linalg.norm(stack.matrix, axis=1).tobytes()
@@ -159,7 +163,7 @@ def test_stack_norms_and_probes_are_bit_identical(case):
     if space:
         # The bound evaluators' system: the cell's rows with the edges first.
         rotated = Cell(stack, np.empty((0, dimensionality))).edges_first()
-        assembled, assembled_rhs = linprog_module._assemble(pushes, dimensionality, True)
+        assembled, assembled_rhs = linprog_module._assemble(pushes, dimensionality)
         assert rotated.matrix.tobytes() == assembled.tobytes()
         assert rotated.rhs.tobytes() == assembled_rhs.tobytes()
         assert rotated.norms.tobytes() == np.linalg.norm(assembled, axis=1).tobytes()

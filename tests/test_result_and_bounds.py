@@ -140,25 +140,25 @@ class TestExistsUnprocessedNotDominated:
         dataset = Dataset([[0.9, 0.1], [0.1, 0.9], [0.4, 0.4]])
         tree = AggregateRTree(dataset)
         pivots = np.array([[0.5, 0.5]])
-        assert exists_unprocessed_not_dominated(tree, pivots, processed_ids=set())
+        assert exists_unprocessed_not_dominated(tree, pivots, np.zeros(3, dtype=bool))
 
     def test_all_records_dominated_by_pivot(self):
         dataset = Dataset([[0.1, 0.1], [0.2, 0.3], [0.3, 0.2]])
         tree = AggregateRTree(dataset)
         pivots = np.array([[0.5, 0.5]])
-        assert not exists_unprocessed_not_dominated(tree, pivots, processed_ids=set())
+        assert not exists_unprocessed_not_dominated(tree, pivots, np.zeros(3, dtype=bool))
 
     def test_processed_records_are_ignored(self):
         dataset = Dataset([[0.9, 0.9], [0.1, 0.1]])
         tree = AggregateRTree(dataset)
         pivots = np.array([[0.5, 0.5]])
-        assert not exists_unprocessed_not_dominated(tree, pivots, processed_ids={0})
+        assert not exists_unprocessed_not_dominated(tree, pivots, np.array([True, False]))
 
     def test_no_pivots_means_any_unprocessed_counts(self):
         dataset = Dataset([[0.2, 0.2]])
         tree = AggregateRTree(dataset)
-        assert exists_unprocessed_not_dominated(tree, np.empty((0, 2)), processed_ids=set())
-        assert not exists_unprocessed_not_dominated(tree, np.empty((0, 2)), processed_ids={0})
+        assert exists_unprocessed_not_dominated(tree, np.empty((0, 2)), np.array([False]))
+        assert not exists_unprocessed_not_dominated(tree, np.empty((0, 2)), np.array([True]))
 
 
 class TestPreferenceRegion:
