@@ -61,11 +61,25 @@ __all__ = [
     "capture_frontier",
     "report_leaves",
     "drain",
+    "space_hyperplanes",
 ]
 
 #: Identifier used for the two preference-space representations.
 TRANSFORMED_SPACE = "transformed"
 ORIGINAL_SPACE = "original"
+
+
+def space_hyperplanes(
+    space: str, records: np.ndarray, focal: np.ndarray, record_ids: Sequence[int] | np.ndarray
+) -> list[Hyperplane]:
+    """The hyperplanes of competitor ``records`` against ``focal`` in ``space``.
+
+    One vectorised pass that works row by row, so a record's hyperplane has
+    the same bits whichever batch builds it.
+    """
+    if space == TRANSFORMED_SPACE:
+        return build_hyperplanes(records, focal, record_ids)
+    return original_space_hyperplanes(records, focal, record_ids)
 
 
 @dataclass
@@ -255,10 +269,7 @@ class QueryContext:
         if not wanted:
             return
         values = self.competitors.values[self.rows_of(wanted)]
-        if self.space == TRANSFORMED_SPACE:
-            built = build_hyperplanes(values, self.focal, wanted)
-        else:
-            built = original_space_hyperplanes(values, self.focal, wanted)
+        built = space_hyperplanes(self.space, values, self.focal, wanted)
         for record_id, hyperplane in zip(wanted, built):
             cache[record_id] = hyperplane
 

@@ -25,6 +25,17 @@ Every bound LP of one evaluation solves over the cell's own rows, rotated to
 the edge labels first (:meth:`~repro.core.celltree.Cell.edges_first`): the
 system a per-LP assembly of the cell's halfspaces builds, bit for bit, so
 nothing is rebuilt from halfspaces.
+
+Every bound LP runs without HiGHS's presolve, which cuts its cost to
+about 0.4 of a presolved one (see :mod:`repro.geometry.linprog`).  An
+evaluation reads each LP's value only through the comparisons of
+:meth:`TransformedBoundEvaluator._apply_interval` and the sign tests of
+:class:`OriginalSpaceBoundEvaluator`, each with a tolerance margin.  With
+the bound LPs forced back through presolve, every evaluation on the tier-1
+grid and the fuzz corpus leads to the same prune or report decision, and
+every answer is the same bit for bit.  A value can move within HiGHS's
+tolerances (by up to about 1e-6 on the collinear fuzz cases), so a rank
+bound that does not decide anything can move with it.
 """
 
 from __future__ import annotations

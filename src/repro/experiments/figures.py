@@ -6,10 +6,12 @@ under ``benchmarks/`` and the CLI (``python -m repro.experiments``) render
 them with :mod:`repro.experiments.report`.
 
 All experiments are *scaled down* relative to the paper (one LP through
-:data:`repro.geometry.linprog.linprog` costs about 230 µs on the cold-exact
-benchmark's LPs, of which HiGHS itself takes about 180 µs, and the CellTree,
-bounds and index around it are Python): the ``quick`` flag selects an even
-smaller grid so the whole suite stays in the range of minutes.
+:data:`repro.geometry.linprog.linprog` costs about 230 µs for a
+feasibility probe and about 130 µs for an LP-CTA bound, which skips
+HiGHS's presolve, on the cold-exact benchmark's LPs on a 2-core host, and
+the CellTree, bounds and index around it are Python): the ``quick`` flag
+selects an even smaller grid so the whole suite stays in the range of
+minutes.
 EXPERIMENTS.md records, for every figure, the trend the paper reports and
 the trend measured here.
 """

@@ -26,11 +26,13 @@ module-level name :data:`linprog`, which answers exactly as
   bounds, row bounds ``(-inf, b_ub)`` and the constraint matrix column-wise,
   with structural zeros dropped exactly as ``csc_array`` drops them, every
   column continuous;
-* one ``run`` on this (process, thread)'s ``_Highs`` instance, built on first
-  use with the options ``linprog`` sets on every call: presolve ``"on"``,
-  the dual simplex strategy, debug level none, output and console logging
-  off.  A forked child and every new thread build their own; an instance
-  that returns a HiGHS error is dropped and rebuilt;
+* one ``run`` on this (process, thread)'s ``_Highs`` instance for the call's
+  presolve setting, built on first use with the options ``linprog`` sets on
+  every call: presolve ``"on"`` (``"off"`` under ``options={"presolve":
+  False}``, the one option :data:`linprog` takes), the dual simplex
+  strategy, debug level none, output and console logging off.  A forked
+  child and every new thread build their own; an instance that returns a
+  HiGHS error is dropped and rebuilt;
 * for an optimal solve, the solution getters and ``_check_result``'s own
   test at ``tol=LINPROG_CHECK_TOL``, inlined: no NaN, ``x`` inside its
   bounds and every row within ``10 sqrt(tol)``.  A pass returns scipy's
@@ -38,22 +40,53 @@ module-level name :data:`linprog`, which answers exactly as
   non-optimal solve, goes through scipy's status helper and
   ``_check_result`` themselves.
 
-On the 4,317 LPs of the cold-exact benchmark's serial queries (timed
-interleaved in one process, 2-core x86 host) one call costs about 230 µs,
-of which HiGHS's ``passModel``, ``run`` and getters are about 180 µs.
 Building a ``HighsLp`` from lists and running scipy's ``_check_result`` on
-every answer cost about 330 µs per call, and stock ``linprog``, with its
-fresh solver and per-call option checks, costs about six times this
-path.  A scipy without
+every answer cost about 330 µs per call where this path, with presolve on
+every LP, cost 230 µs, and stock ``linprog``, with its fresh solver and
+per-call option checks, costs about six times this path.  A scipy without
 the private binding, or whose ``passModel`` takes no arrays, keeps stock
 ``linprog`` and counts each solve in ``query.lp.fallback_calls``.
 
 ``status``, ``x``, ``fun``, ``slack`` and ``message`` match stock ``linprog``
-bit for bit, whatever the call history (``tests/test_geometry_linprog.py``;
-checked on scipy 1.17.1 with HiGHS 1.12.0).  Warm starts and reused models
-are deliberately not used: a reused basis can end on a different optimal
-vertex and move the witnesses, and re-costing a kept model moves some optima
-by an ulp.
+under the same ``options`` bit for bit, whatever the call history
+(``tests/test_geometry_linprog.py``; checked on scipy 1.17.1 with HiGHS
+1.12.0).  Warm starts and reused models are deliberately not used: a reused
+basis can end on a different optimal vertex and move the witnesses, and
+re-costing a kept model moves some optima by an ulp.
+
+Bound LPs skip HiGHS's presolve; feasibility LPs keep it.  On LPs this small
+(``d'`` or ``d' + 1`` columns, about nine rows) presolve is most of HiGHS's
+work.  The 4,317 LPs of the cold-exact benchmark's 40 serial queries,
+replayed in their call order in one process on a 2-core x86 host (every LP
+presolved against bound LPs unpresolved, six alternating rounds, two runs):
+an optimisation LP cost 305-330 µs per call with presolve and 115-145 µs
+without (0.38-0.44x); a feasibility LP cost 205-250 µs either way, and
+about 0.7 of that where it ran without presolve.
+
+* :func:`minimize_linear` and :func:`maximize_linear`, which every LP-CTA
+  and OLP-CTA rank bound calls, pass ``options={"presolve": False}``.  A
+  bound evaluation reads a value only through comparisons with a tolerance
+  margin.  With the bound LPs forced back through presolve, the rank-bound
+  decisions and every answer stay the same on the tier-1 grid and the fuzz
+  corpus (``tests/test_lp_layer_identity.py``), though a value can move
+  within HiGHS's tolerances.
+* A feasibility LP's ``x`` is the CellTree's witness point, which without
+  presolve lands elsewhere in the cell.  With every LP unpresolved, witness
+  bytes moved on 333 of 2,248 queries (the tier-1 grid, the fuzz corpus and
+  the cold-exact focals, every method) and impact bits on 207; on the fuzz
+  corpus regions moved on 30 and LP counts on 42.  So that change waits for
+  a kernel judged by the differential suites rather than by byte identity.
+
+HiGHS's ``threads`` option stays unset.  One thread would save another
+9-19% per call on the same LPs (timed call by call against the automatic
+count).  But HiGHS keeps one task scheduler per OS
+thread, started with the thread count of the first run on that thread, and
+a later ``run`` asking for another count returns ``kError``: a
+``threads = 2`` run followed by a ``threads = 1`` run on one thread
+reproduces it.  Stock ``linprog`` leaves the count automatic, which is one
+thread on a 2-core host and more on a larger one.  So a fixed
+``threads = 1`` would pass on the first host and fail on the second
+wherever stock ``linprog`` had run first on the same thread.
 
 Feasibility of an *open* cell is decided by maximising a slack ``t`` added to
 every strict inequality (scaled by the constraint's norm so ``t`` is a genuine
@@ -121,8 +154,14 @@ __all__ = [
 #: Upper bound on the slack variable (keeps the LP bounded).
 _SLACK_CAP = 1.0
 
-#: Per-thread slot for ``(pid, solver)``; the pid makes a forked child rebuild.
+#: Per-thread slots for ``(pid, solver)``, one per presolve setting, named by
+#: :data:`_SLOT`; the pid makes a forked child rebuild.
 _THREAD = threading.local()
+_SLOT = {True: "highs", False: "highs_without_presolve"}
+
+#: The ``options`` every bound LP passes: presolve is most of a small LP's
+#: cost, and a bound is read only through its value (see the module docstring).
+_NO_PRESOLVE = {"presolve": False}
 
 #: The bound ``_check_result`` derives from its ``tol`` argument, here
 #: ``LINPROG_CHECK_TOL``: an optimal ``x`` may leave its box, and a row its
@@ -133,10 +172,14 @@ _CHECK_BOUND = float(np.sqrt(LINPROG_CHECK_TOL) * 10)
 _NO_EQUALITIES = np.zeros(0)
 
 
-def _new_highs() -> "_Highs":
-    """A HiGHS instance with the options ``linprog`` sets on every call."""
+def _new_highs(presolve: bool = True) -> "_Highs":
+    """A HiGHS instance with the options ``linprog`` sets on every call.
+
+    ``presolve`` is stock ``linprog``'s option of that name: ``"on"`` when
+    True, ``"off"`` when False, as scipy's wrapper maps it.
+    """
     options = HighsOptions()
-    options.presolve = "on"
+    options.presolve = "on" if presolve else "off"
     options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = False
@@ -147,15 +190,32 @@ def _new_highs() -> "_Highs":
     return highs
 
 
-def _thread_highs() -> "_Highs":
-    """This thread's HiGHS instance, built on first use."""
+def _thread_highs(presolve: bool) -> "_Highs":
+    """This thread's HiGHS instance for ``presolve``, built on first use."""
     pid = os.getpid()
-    slot = getattr(_THREAD, "highs", None)
+    slot = getattr(_THREAD, _SLOT[presolve], None)
     if slot is not None and slot[0] == pid:
         return slot[1]
-    highs = _new_highs()
-    _THREAD.highs = (pid, highs)
+    highs = _new_highs(presolve)
+    setattr(_THREAD, _SLOT[presolve], (pid, highs))
     return highs
+
+
+def _presolve(options: "dict | None") -> bool:
+    """The ``presolve`` setting of stock ``linprog``'s ``options``: True unless it says False.
+
+    Any other key, or a ``presolve`` that is not a bool, raises: stock
+    ``linprog`` would hand it to HiGHS or fall back to HiGHS's default.
+    """
+    if options is None:
+        return True
+    unknown = sorted(set(options) - {"presolve"})
+    if unknown:
+        raise ValueError(f"unsupported linprog options {unknown}; only 'presolve' is accepted")
+    presolve = options.get("presolve", True)
+    if not isinstance(presolve, bool):
+        raise ValueError(f"linprog option 'presolve' must be True or False, not {presolve!r}")
+    return presolve
 
 
 def _pass_model(highs, cost, box, upper, matrix) -> "HighsStatus":
@@ -222,15 +282,17 @@ def _passes_check(x: np.ndarray, fun: float, slack: np.ndarray, box: np.ndarray)
     )
 
 
-def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> LinprogResult:
-    """``scipy.optimize.linprog(method="highs")`` on this thread's reused solver.
+def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs", options=None) -> LinprogResult:
+    """``scipy.optimize.linprog(method="highs", options=options)`` on this thread's reused solver.
 
-    ``bounds`` holds one ``(low, high)`` pair per variable.  Returns scipy's
-    ``OptimizeResult`` with the ``x``, ``fun``, ``slack``, ``status``,
-    ``success`` and ``message`` that ``linprog`` would return.
+    ``bounds`` holds one ``(low, high)`` pair per variable; ``options`` may
+    only set ``presolve``, and each setting has its own instance.  Returns
+    scipy's ``OptimizeResult`` with the ``x``, ``fun``, ``slack``,
+    ``status``, ``success`` and ``message`` that ``linprog`` would return.
     """
     if method != "highs":
         raise ValueError(f"only method='highs' is supported, not {method!r}")
+    presolve = _presolve(options)
     cost = np.asarray(c, dtype=float).reshape(-1)
     columns = cost.size
     matrix = np.zeros((0, columns)) if A_ub is None else np.asarray(A_ub, dtype=float)
@@ -243,14 +305,14 @@ def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> Linpro
             raise ValueError(f"Invalid input for linprog: {name} must not contain values inf, nan, or None")
     box = np.asarray(bounds, dtype=float).reshape(columns, 2)
 
-    highs = _thread_highs()
+    highs = _thread_highs(presolve)
     x = fun = slack = None
     if _pass_model(highs, cost, box, upper, matrix) == HighsStatus.kError:
-        del _THREAD.highs
+        delattr(_THREAD, _SLOT[presolve])
         model_status = HighsModelStatus.kModelError
         message = highs.modelStatusToString(model_status)
     elif highs.run() == HighsStatus.kError:
-        del _THREAD.highs
+        delattr(_THREAD, _SLOT[presolve])
         model_status = highs.getModelStatus()
         message = highs.modelStatusToString(model_status)
     else:
@@ -279,12 +341,13 @@ def _highs_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> Linpro
     )
 
 
-def _stock_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs") -> LinprogResult:
+def _stock_linprog(c, A_ub=None, b_ub=None, *, bounds, method="highs", options=None) -> LinprogResult:
     """``scipy.optimize.linprog``, counted in ``query.lp.fallback_calls``."""
+    _presolve(options)
     registry = active_registry()
     if registry is not None:
         registry.counter(LP_FALLBACK_CALLS).inc()
-    return _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+    return _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method, options=options)
 
 
 if _HAVE_HIGHS:
@@ -556,6 +619,7 @@ def _optimize(
         b_ub=bounds if matrix.size else None,
         bounds=_lp_frame(dimensionality)[2],
         method="highs",
+        options=_NO_PRESOLVE,
     )
     if not outcome.success:
         raise LPSolverError(

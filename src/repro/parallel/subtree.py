@@ -10,7 +10,11 @@ sharding boundary for a *single* query:
 2. every active leaf becomes a :class:`~repro.parallel.shards.SubtreeShard`
    and is shipped to a worker process, which grows a fresh CellTree from the
    leaf's cell (same rows, witnesses and vertices) with the leaf's rank
-   offset and inserts the remaining hyperplanes;
+   offset and inserts the remaining hyperplanes.  The worker builds those
+   from the remaining competitors' rows, ids and the focal record with
+   :func:`~repro.core.base.space_hyperplanes`, which also primes the
+   query's own hyperplanes; it works row by row, so every coefficient,
+   offset and norm is the serial run's bit for bit;
 3. the per-shard answers are merged back in the seed tree's depth-first
    order, so the reported cells — bounding halfspaces, ranks and witnesses —
    are **identical** to what the single-process run produces.
@@ -58,11 +62,12 @@ from ..core.base import (
     StreamTick,
     drain,
     report_leaves,
+    space_hyperplanes,
 )
 from ..core.celltree import CellTree
 from ..core.cta import open_cta
 from ..core.result import FrontierCell, KSPRResult
-from ..geometry.halfspace import Halfspace, Hyperplane
+from ..geometry.halfspace import Halfspace
 from ..geometry.linprog import LPCounters
 from ..obs.metrics import LP_CONSTRAINTS, Counter, MetricsRegistry, active_registry, use_registry
 from ..obs.trace import current_tracer
@@ -78,11 +83,13 @@ DEFAULT_SHARD_FACTOR = 4
 
 
 def _expand_shard_group(
-    payload: tuple[int, int, list[Hyperplane], list[SubtreeShard], Tolerance | None, bool],
+    payload: tuple[int, int, str, np.ndarray, np.ndarray, np.ndarray, list[SubtreeShard], Tolerance | None, bool],
 ) -> list[tuple]:
     """Worker entry point: expand a group of subtree shards to completion.
 
-    Each shard's tree grows from the shard's cell.  Returns, per shard, its
+    The payload carries the remaining competitors as rows and ids, with the
+    focal record and the space that turn them into hyperplanes.  Each
+    shard's tree grows from the shard's cell.  Returns, per shard, its
     index, the reported cells (local bounding halfspaces, absolute rank,
     witness), the LP counter totals, the number
     of CellTree nodes created, the shard's wall-clock seconds, and — when
@@ -91,7 +98,8 @@ def _expand_shard_group(
     is exact and worker-count-invariant) and its counter values, such as
     ``query.lp.vertex_certificates``.
     """
-    dimensionality, k, hyperplanes, shards, tolerance, collect_metrics = payload
+    dimensionality, k, space, focal, rows, ids, shards, tolerance, collect_metrics = payload
+    hyperplanes = space_hyperplanes(space, rows, focal, ids)
     results = []
     for shard in shards:
         shard_start = time.perf_counter()
@@ -183,7 +191,7 @@ def parallel_ticks(
             break
         if workers > 1 and sum(1 for _ in tree.iter_active_leaves()) >= target_shards:
             break
-    remaining = [] if exhausted else hyperplanes[seeded:]
+    remaining = 0 if exhausted else len(hyperplanes) - seeded
 
     def finish(new_cells: list[ReportedCell], extra_nodes: int, batches: int) -> StreamTick:
         context.stats.add_phase(
@@ -215,7 +223,7 @@ def parallel_ticks(
             continue
         shards.append(SubtreeShard(index=index, cell=leaf.cell, rank_offset=rank_offset))
         prefixes[index] = tuple(leaf.path_halfspaces())
-    context.stats.processed_records += len(remaining)
+    context.stats.processed_records += remaining
     if tracer.enabled:
         tracer.event(
             "parallel.seeded", seeded=seeded, shards=len(shards), workers=workers
@@ -225,11 +233,17 @@ def parallel_ticks(
     # the in-order commit of the merge loop below.
     groups = [shards[start::workers] for start in range(workers)]
     groups = [group for group in groups if group]
+    # The remaining hyperplanes travel as the rows and ids they are built
+    # from (row i of the competitors is hyperplane i): fewer pickled bytes
+    # than the Hyperplane objects, which also carry their norms.
     payloads = [
         (
             context.cell_dimensionality,
             context.effective_k,
-            remaining,
+            context.space,
+            context.focal,
+            context.competitors.values[seeded:],
+            context.competitors.ids[seeded:],
             group,
             context.tolerance,
             registry is not None,

@@ -165,16 +165,20 @@ def _lp_corpus(seed: int = 20170514) -> list[tuple]:
     return corpus
 
 
+#: The ``options`` the kernel passes: none (feasibility LPs) and the bound LPs'.
+OPTIONS = {"default": None, "no-presolve": {"presolve": False}}
+
+
 def _answer(outcome) -> tuple:
-    """The bits of a result the kernel reads: status, ``x`` and ``fun``."""
+    """The bits of a result the kernel reads (status, ``x``, ``fun``) and its message."""
     x = None if outcome.x is None else outcome.x.tobytes()
     fun = None if outcome.fun is None else float(outcome.fun).hex()
-    return outcome.status, x, fun
+    return outcome.status, x, fun, outcome.message
 
 
-def _solve_all(solve, lps) -> list[tuple]:
+def _solve_all(solve, lps, options=None) -> list[tuple]:
     return [
-        _answer(solve(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"))
+        _answer(solve(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options))
         for c, a_ub, b_ub, bounds in lps
     ]
 
@@ -185,37 +189,74 @@ def lp_corpus() -> list[tuple]:
 
 
 @pytest.fixture(scope="module")
-def stock_answers(lp_corpus) -> list[tuple]:
-    return _solve_all(stock_linprog, lp_corpus)
+def stock_answers(lp_corpus) -> dict[str, list[tuple]]:
+    """Stock ``linprog``'s answers to the corpus under each of :data:`OPTIONS`."""
+    return {name: _solve_all(stock_linprog, lp_corpus, options) for name, options in OPTIONS.items()}
+
+
+def _interleaved(lps) -> dict[str, list[tuple]]:
+    """Each LP solved under every :data:`OPTIONS` entry in turn, call by call."""
+    answers: dict[str, list[tuple]] = {name: [] for name in OPTIONS}
+    for lp in lps:
+        for name, options in OPTIONS.items():
+            answers[name] += _solve_all(linprog_module.linprog, [lp], options)
+    return answers
+
+
+def _slots() -> list[tuple]:
+    """This thread's ``(pid, instance)`` per presolve setting."""
+    return [getattr(linprog_module._THREAD, slot) for slot in linprog_module._SLOT.values()]
 
 
 def _solve_in_forked_child(lps) -> tuple:
-    inherited = linprog_module._THREAD.highs
-    answers = _solve_all(linprog_module.linprog, lps)
-    own = linprog_module._THREAD.highs
-    return answers, inherited[0], own[0], os.getpid(), own[1] is not inherited[1]
+    inherited = _slots()
+    answers = _interleaved(lps)
+    own = _slots()
+    return (
+        answers,
+        {pid for pid, _ in inherited},
+        {pid for pid, _ in own},
+        os.getpid(),
+        all(mine is not theirs for (_, mine), (_, theirs) in zip(own, inherited)),
+    )
 
 
 @requires_highs_binding
 class TestReusedHighsBackend:
     def test_corpus_is_mostly_infeasible_with_many_optima(self, stock_answers):
-        statuses = [status for status, _, _ in stock_answers]
-        assert statuses.count(2) > len(statuses) // 2
-        assert statuses.count(0) > len(statuses) // 10
-        assert set(statuses) == {0, 2}
+        for answers in stock_answers.values():
+            statuses = [status for status, *_ in answers]
+            assert statuses.count(2) > len(statuses) // 2
+            assert statuses.count(0) > len(statuses) // 10
+            assert set(statuses) == {0, 2}
+
+    def test_presolve_moves_stock_answers(self, stock_answers):
+        """The two settings are different LP paths, so identity under each is
+        a claim of its own: some answers differ in their bits or message."""
+        assert stock_answers["default"] != stock_answers["no-presolve"]
 
     def test_identical_to_stock_in_order(self, lp_corpus, stock_answers):
-        assert _solve_all(linprog_module.linprog, lp_corpus) == stock_answers
+        for name, options in OPTIONS.items():
+            assert _solve_all(linprog_module.linprog, lp_corpus, options) == stock_answers[name], name
 
     def test_identical_to_stock_shuffled(self, lp_corpus, stock_answers):
         """No answer depends on which LPs the instance solved before."""
         order = list(range(len(lp_corpus)))
         random.Random(7).shuffle(order)
-        answers = _solve_all(linprog_module.linprog, [lp_corpus[i] for i in order])
-        assert answers == [stock_answers[i] for i in order]
+        for name, options in OPTIONS.items():
+            answers = _solve_all(linprog_module.linprog, [lp_corpus[i] for i in order], options)
+            assert answers == [stock_answers[name][i] for i in order], name
+
+    def test_identical_to_stock_interleaved_on_one_thread(self, lp_corpus, stock_answers):
+        """Calls with and without presolve alternate on one thread; each
+        answers as stock does under its own options."""
+        assert _interleaved(lp_corpus) == stock_answers
+        instances = [linprog_module._thread_highs(presolve) for presolve in (True, False)]
+        assert instances[0] is not instances[1]
 
     def test_identical_to_stock_from_four_threads(self, lp_corpus, stock_answers):
-        """Four threads solve at once, each on its own instance."""
+        """Four threads solve at once, each on its own instances, with and
+        without presolve call by call."""
         workers = 4
         barrier = threading.Barrier(workers, timeout=60)
         answers: list = [None] * workers
@@ -224,8 +265,8 @@ class TestReusedHighsBackend:
         def work(slot: int) -> None:
             try:
                 barrier.wait()
-                instances[slot] = linprog_module._thread_highs()
-                answers[slot] = _solve_all(linprog_module.linprog, lp_corpus[slot::workers])
+                instances[slot] = [linprog_module._thread_highs(presolve) for presolve in (True, False)]
+                answers[slot] = _interleaved(lp_corpus[slot::workers])
             except BaseException as error:  # surfaced by the assertion below
                 answers[slot] = error
 
@@ -241,21 +282,21 @@ class TestReusedHighsBackend:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         for slot in range(workers):
-            assert answers[slot] == stock_answers[slot::workers]
-        assert len({id(instance) for instance in instances}) == workers
+            assert answers[slot] == {name: stock[slot::workers] for name, stock in stock_answers.items()}
+        assert len({id(instance) for pair in instances for instance in pair}) == 2 * workers
 
     def test_identical_to_stock_in_forked_child(self, lp_corpus, stock_answers):
-        """A forked child drops the instance it inherited and builds its own."""
+        """A forked child drops both instances it inherited and builds its own."""
         half = len(lp_corpus) // 2
-        assert _solve_all(linprog_module.linprog, lp_corpus[:1]) == stock_answers[:1]
+        assert _interleaved(lp_corpus[:1]) == {name: stock[:1] for name, stock in stock_answers.items()}
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            answers, inherited_pid, own_pid, child_pid, rebuilt = pool.submit(
+            answers, inherited_pids, own_pids, child_pid, rebuilt = pool.submit(
                 _solve_in_forked_child, lp_corpus[half:]
             ).result(timeout=300)
-        assert inherited_pid == os.getpid()
-        assert own_pid == child_pid != os.getpid()
+        assert inherited_pids == {os.getpid()}
+        assert own_pids == {child_pid} != {os.getpid()}
         assert rebuilt
-        assert answers == stock_answers[half:]
+        assert answers == {name: stock[half:] for name, stock in stock_answers.items()}
 
 
 @pytest.mark.parametrize("argument", ["c", "A_ub", "b_ub"])
@@ -274,6 +315,22 @@ def test_non_finite_input_raises_like_stock(argument, value):
     with pytest.raises(ValueError) as ours:
         linprog_module.linprog(**problem, method="highs")
     assert str(ours.value) == str(stock.value)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"tol": 1e-9}, {"presolve": False, "disp": False}, {"presolve": "off"}, {"presolve": 0}],
+    ids=["other-key", "presolve-and-other-key", "presolve-string", "presolve-int"],
+)
+@pytest.mark.parametrize("backend", ["reused", "stock"])
+def test_options_other_than_a_presolve_flag_raise(options, backend):
+    """Stock ``linprog`` would hand such options to HiGHS or drop them with a
+    warning; here they raise before any solve."""
+    solve = linprog_module._highs_linprog if backend == "reused" else linprog_module._stock_linprog
+    if backend == "reused" and not linprog_module._HAVE_HIGHS:
+        pytest.skip("scipy lacks the HiGHS binding")
+    with pytest.raises(ValueError, match="presolve"):
+        solve([1.0, -1.0], bounds=[(-1.0, 2.0)] * 2, method="highs", options=options)
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,14 @@
 * The bound evaluators assemble nothing: every bound LP solves over the
   cell's own rows and answers as the per-LP assembly does, value and point
   bytes alike.
+* Bound LPs skip HiGHS's presolve; feasibility LPs keep it.  With every
+  bound LP forced back through presolve, each evaluation's prune/report
+  decision and each query's answer, LP counts and bound counts are the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,12 +30,14 @@ import repro.core.bounds as bounds_module
 import repro.geometry.linprog as linprog_module
 import test_differential_kspr as grid
 import test_geometry_linprog as corpus_module
-from repro import kspr
+import test_robustness_fuzz as fuzz
+from repro import Dataset, kspr, lpcta
 from repro.core.celltree import Cell, CellTree
 from repro.data import independent_dataset
 from repro.geometry.halfspace import Halfspace, Hyperplane
+from repro.core.original_space import olp_cta
 from repro.geometry.linprog import ConstraintStack
-from repro.robust import LINPROG_CHECK_TOL
+from repro.robust import LINPROG_CHECK_TOL, resolve_tolerance
 
 requires_highs_binding = pytest.mark.skipif(
     not linprog_module._HAVE_HIGHS,
@@ -109,7 +115,7 @@ class TestInlinePostCheck:
             answers = []
             for c, a_ub, b_ub, box in lps:
                 outcome = linprog_module.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=box, method="highs")
-                answers.append((*corpus_module._answer(outcome), outcome.message, outcome.success))
+                answers.append((*corpus_module._answer(outcome), outcome.success))
             return answers
 
         inline = solve_all()
@@ -257,3 +263,135 @@ def test_the_cells_rows_serve_many_bound_lps(monkeypatch, method):
     focal = dataset.values[dataset.values.sum(axis=1).argmax()]
     evaluations, lps = _check_bound_lps(monkeypatch, dataset, focal, 2, method)
     assert evaluations > 0 and lps > 4 * evaluations
+
+
+# --------------------------------------------------------------------------- #
+# bound LPs without presolve
+# --------------------------------------------------------------------------- #
+#: Every query that solves bound LPs: LP-CTA in each bounds mode, and OLP-CTA.
+BOUND_METHODS = {
+    **{f"lpcta-{mode}": functools.partial(lpcta, bounds_mode=mode) for mode in ("record", "group", "fast")},
+    "olp-cta": olp_cta,
+}
+
+
+def _presolve_cases() -> list[tuple]:
+    """The tier-1 grid and the fuzz corpus (policies included), unscaled."""
+    return [("grid", case) for case in grid._cases()] + [("fuzz", case) for case in fuzz._cases()]
+
+
+def _presolve_case(source: str, case: tuple):
+    """``(dataset, focal, k, tolerance)`` for one case of :func:`_presolve_cases`."""
+    if source == "grid":
+        n, d, k, distribution, seed = case
+        dataset, focal, _ = grid._build_case(n, d, k, distribution, seed)
+        return dataset, focal, k, None
+    kind, n, d, k, policy_name, seed = case
+    dataset, focal, _ = fuzz._build_case(kind, n, d, seed)
+    return Dataset(dataset.values), focal, k, resolve_tolerance(fuzz.POLICIES[policy_name])
+
+
+def _answer_bits(result) -> tuple:
+    """Regions (rank, halfspace ids and signs, witness bytes), impact, LP counts, bound decisions."""
+    stats = result.stats
+    regions = tuple(
+        (
+            region.rank,
+            tuple((halfspace.record_id, halfspace.sign) for halfspace in region.halfspaces),
+            None if region.witness is None else region.witness.tobytes(),
+        )
+        for region in result.regions
+    )
+    lp = (stats.lp.feasibility_calls, stats.lp.optimize_calls, stats.lp.total_constraints)
+    return regions, float(result.impact_probability()).hex(), lp, stats.cells_pruned_by_bounds, stats.cells_reported_early
+
+
+def _bound_run(query, force_presolve: bool) -> tuple:
+    """One query's answer bits, every evaluation's ``(k, bounds, values of its
+    bound LPs)``, every bound LP's value, and the presolve setting of every LP
+    solved."""
+    evaluations: list = []
+    values: list = []
+    presolved: list = []
+    linprog = linprog_module.linprog
+
+    def solve(*args, options=None, **kwargs):
+        presolve = force_presolve or linprog_module._presolve(options)
+        presolved.append(presolve)
+        return linprog(*args, options=None if presolve else options, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linprog_module, "linprog", solve)
+        for evaluator in EVALUATORS:
+            def evaluate(self, cell, k, _original=evaluator.evaluate):
+                first = len(values)
+                bounds = _original(self, cell, k)
+                evaluations.append((k, bounds, values[first:]))
+                return bounds
+
+            patch.setattr(evaluator, "evaluate", evaluate)
+        for name in ("minimize_linear", "maximize_linear"):
+            def bound(*args, _original=getattr(bounds_module, name)):
+                outcome = _original(*args)
+                values.append(outcome.value)
+                return outcome
+
+            patch.setattr(bounds_module, name, bound)
+        result = query()
+    return _answer_bits(result), evaluations, values, presolved
+
+
+def _decision(k: int, bounds) -> tuple:
+    """What :mod:`repro.core.progressive` reads of a cell's bounds at the
+    ``k`` it passed: prune, report at rank ``upper``, or insert on."""
+    if bounds.lower > k:
+        return ("prune",)
+    return ("report", bounds.upper) if bounds.upper <= k else ("insert",)
+
+
+#: How far a bound LP's value may move with presolve and still count as the
+#: same value: rounding at unit scale (the grid's values move by at most
+#: about 1.5e-15).
+ROUNDING = 1e-12
+
+
+def _same_values(values: list, others: list) -> bool:
+    return len(values) == len(others) and all(abs(a - b) <= ROUNDING for a, b in zip(values, others))
+
+
+@requires_highs_binding
+@pytest.mark.parametrize("source,case", _presolve_cases(), ids=lambda value: str(value))
+def test_rank_bounds_do_not_depend_on_presolve(record_property, source, case):
+    """Bound LPs solved without presolve, and then with it, give the same
+    answer bits and the same decision at every evaluation, and the same
+    ``RankBounds`` at every evaluation whose LP values agree up to rounding.
+
+    A bound value may move: by a few ulps on the grid, and by up to about
+    1e-6 on the collinear fuzz cases, whose near-degenerate cells leave
+    HiGHS's optimum only as exact as its 1e-7 primal feasibility tolerance.
+    Where such a value straddles a tolerance margin far below that, a rank
+    bound moves with it (a near-tie counted as a potential beat or not); the
+    moved values and bounds are counted as properties of the test.
+    """
+    dataset, focal, k, tolerance = _presolve_case(source, case)
+    values_moved = bounds_moved = solved = evaluated = 0
+    for name, method in BOUND_METHODS.items():
+        query = functools.partial(method, dataset, focal, k, tolerance=tolerance)
+        answer, evaluations, values, presolved = _bound_run(query, force_presolve=False)
+        assert presolved.count(False) == len(values) == answer[2][1], name
+        forced_answer, forced_evaluations, _, forced_presolved = _bound_run(query, force_presolve=True)
+        assert all(forced_presolved) and len(forced_presolved) == len(presolved), name
+        assert forced_answer == answer, name
+        assert len(forced_evaluations) == len(evaluations), name
+        for (passed, bounds, lp_values), (forced_passed, forced_bounds, forced_lp_values) in zip(
+            evaluations, forced_evaluations
+        ):
+            assert forced_passed == passed and _decision(passed, forced_bounds) == _decision(passed, bounds), name
+            if _same_values(lp_values, forced_lp_values):
+                assert forced_bounds == bounds, name
+            bounds_moved += forced_bounds != bounds
+            values_moved += sum(a.hex() != b.hex() for a, b in zip(lp_values, forced_lp_values))
+        solved += len(values)
+        evaluated += len(evaluations)
+    record_property("bound_values_moved", f"{values_moved}/{solved}")
+    record_property("rank_bounds_moved", f"{bounds_moved}/{evaluated}")

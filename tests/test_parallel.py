@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,7 +15,7 @@ import repro.geometry.polytope as polytope_module
 import repro.parallel.subtree as subtree_module
 import test_differential_kspr as grid
 from repro import Dataset, Engine, kspr
-from repro.core.celltree import Cell
+from repro.core.celltree import Cell, CellTree
 from repro.core.cta import cta
 from repro.data import anticorrelated_dataset, independent_dataset
 from repro.engine import QueryBatch, QuerySpec
@@ -26,6 +27,7 @@ from repro.parallel import (
     results_identical,
 )
 from repro.exceptions import GeometryError
+from repro.geometry.halfspace import build_hyperplanes, original_space_hyperplanes
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.metrics import LP_CONSTRAINTS, Histogram
 from repro.obs.names import LP_FALLBACK_CALLS, LP_VERTEX_CERTIFICATES, LP_VERTEX_FALLBACKS
@@ -110,6 +112,34 @@ class TestSubtreeShardedCTA:
         dataset = Dataset([[0.2, 0.1], [0.1, 0.3]])
         result = parallel_cta(dataset, [0.9, 0.9], 1, workers=2)
         assert result.total_volume() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("space", ["transformed", "original"])
+    def test_workers_build_the_serial_hyperplanes_bit_for_bit(self, monkeypatch, space):
+        """Workers get the remaining competitors' rows, ids and the focal, not
+        hyperplanes.  Every hyperplane a worker inserts has the coefficient,
+        offset and norm bits of that record's hyperplane built on its own."""
+        dataset = independent_dataset(60, 3, seed=306)
+        focal = dataset.values[int(np.argmax(dataset.values.sum(axis=1)))] * 0.97
+        serial = cta(dataset, focal, 3, space=space)
+        inserted: list = []
+        insert = CellTree.insert
+
+        def recording(tree, hyperplane, *args, **kwargs):
+            inserted.append((threading.get_ident(), hyperplane))
+            return insert(tree, hyperplane, *args, **kwargs)
+
+        monkeypatch.setattr(CellTree, "insert", recording)
+        monkeypatch.setattr(subtree_module, "ProcessPoolExecutor", ThreadPoolExecutor)
+        assert_results_identical(parallel_cta(dataset, focal, 3, workers=2, shard_factor=2, space=space), serial)
+        built = [hyperplane for thread, hyperplane in inserted if thread != threading.get_ident()]
+        assert len({hyperplane.record_id for hyperplane in built}) > 10
+        build = build_hyperplanes if space == "transformed" else original_space_hyperplanes
+        for hyperplane in built:
+            values = dataset.record_by_id(hyperplane.record_id).values
+            alone = build(values[None, :], focal, [hyperplane.record_id])[0]
+            assert hyperplane.coefficients.tobytes() == alone.coefficients.tobytes()
+            assert float(hyperplane.offset).hex() == float(alone.offset).hex()
+            assert float(hyperplane.norm).hex() == float(alone.norm).hex()
 
     def test_merged_result_verifies_against_ground_truth(self):
         from repro import verify_result
